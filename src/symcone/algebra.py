@@ -266,8 +266,13 @@ def element_from_matrix(algebra: Algebra, mat: np.ndarray, tol: float = 1e-10) -
     scale = max(float(np.abs(m).max()), 1.0)
     if np.abs(m - m.conj().T).max() > tol * scale:
         raise ValueError("input matrix is not Hermitian within tolerance")
-    m = (m + m.conj().T) / 2.0
-    return Element(algebra, mats_to_coords(algebra, m))
+    return Element(algebra, mats_to_coords(algebra, _hermitian_part(m)))
+
+
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 over the last two axes: the one symmetrisation of every
+    matrix the package builds from products or spectra."""
+    return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
 
 
 def _embed_hermitian(mats: np.ndarray) -> np.ndarray:
@@ -276,11 +281,8 @@ def _embed_hermitian(mats: np.ndarray) -> np.ndarray:
     The map is an algebra homomorphism, so spectra are doubled and spectral
     functions commute with it.
     """
-    a = mats.real
-    b = mats.imag
-    top = np.concatenate([a, -b], axis=-1)
-    bottom = np.concatenate([b, a], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    a, b = mats.real, mats.imag
+    return np.block([[a, -b], [b, a]])
 
 
 # ---------------------------------------------------------------------------
@@ -295,52 +297,108 @@ def traces_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     return c[:, : algebra.param].sum(axis=1)
 
 
+class _Spectrum:
+    """Jordan spectrum of a (N, dim) coordinate batch from one diagonalisation.
+
+    ``eigs`` holds the rank-many eigenvalues of each row, ascending.  Built
+    with ``vectors=True`` it keeps the eigenvectors too, so :meth:`map` applies
+    spectral functions without a second pass.  The Lorentz family uses the
+    closed form x0 -+ |xbar| and never calls the eigensolver.  The eigenvalues
+    do not depend on ``vectors``: the rotations are the same either way.
+    """
+
+    def __init__(self, algebra: Algebra, coords: np.ndarray, vectors: bool = False):
+        c = np.asarray(coords, dtype=float)
+        self.algebra = algebra
+        if algebra.kind is AlgebraKind.LORENTZ:
+            self._xbar = c[:, 1:]
+            self._nrm = np.sqrt(np.sum(self._xbar**2, axis=1))
+            self.eigs = np.stack([c[:, 0] - self._nrm, c[:, 0] + self._nrm], axis=1)
+            return
+        mats = coords_to_mats(algebra, c)
+        if algebra.kind is AlgebraKind.HERM_COMPLEX:
+            mats = _embed_hermitian(mats)
+        self._w, self._v = eigh.jacobi_eigh_batch(mats, compute_vectors=vectors)
+        if algebra.kind is AlgebraKind.SYM_REAL:
+            self.eigs = self._w
+        else:
+            # the embedding doubles every eigenvalue; adjacent sorted pairs collapse
+            self.eigs = (self._w[:, 0::2] + self._w[:, 1::2]) / 2.0
+
+    def map(self, fn) -> np.ndarray:
+        """Coordinates of ``fn`` applied to each row's spectrum; the caller
+        checks the domain of ``fn`` on :attr:`eigs`."""
+        alg = self.algebra
+        if alg.kind is AlgebraKind.LORENTZ:
+            f_lo, f_hi = fn(self.eigs[:, 0]), fn(self.eigs[:, 1])
+            out = np.empty((len(self.eigs), alg.dim))
+            out[:, 0] = (f_hi + f_lo) / 2.0
+            safe = np.where(self._nrm > 0.0, self._nrm, 1.0)
+            out[:, 1:] = (((f_hi - f_lo) / 2.0) / safe)[:, None] * self._xbar
+            return out
+        if self._v is None:
+            raise ValueError("spectrum was computed without eigenvectors")
+        big = np.einsum("nij,nj,nkj->nik", self._v, fn(self._w), self._v)
+        if alg.kind is AlgebraKind.SYM_REAL:
+            return mats_to_coords(alg, _hermitian_part(big))
+        r = alg.param
+        re = (big[:, :r, :r] + big[:, r:, r:]) / 2.0
+        im = (big[:, r:, :r] - big[:, :r, r:]) / 2.0
+        return mats_to_coords(alg, _hermitian_part(re + 1j * im))
+
+
 def eigvals_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     """Jordan eigenvalues for a (N, dim) batch, ascending along the last axis."""
-    c = np.asarray(coords, dtype=float)
-    if algebra.kind is AlgebraKind.LORENTZ:
-        x0 = c[:, 0]
-        nrm = np.sqrt(np.sum(c[:, 1:] ** 2, axis=1))
-        return np.stack([x0 - nrm, x0 + nrm], axis=1)
-    mats = coords_to_mats(algebra, c)
-    if algebra.kind is AlgebraKind.SYM_REAL:
-        return eigh.jacobi_eigvals_batch(mats)
-    w2 = eigh.jacobi_eigvals_batch(_embed_hermitian(mats))
-    # the embedding doubles every eigenvalue; adjacent sorted pairs collapse
-    return (w2[:, 0::2] + w2[:, 1::2]) / 2.0
+    return _Spectrum(algebra, coords).eigs
 
 
 def spectral_map_batch(algebra: Algebra, coords: np.ndarray, fn) -> np.ndarray:
-    """Apply the spectral function ``fn`` elementwise on a (N, dim) batch.
+    """Apply ``fn`` to the spectrum of each row; the caller checks its domain."""
+    return _Spectrum(algebra, coords, vectors=True).map(fn)
 
-    The caller is responsible for domain checks on the eigenvalues.
+
+def quadratic_action_batch(algebra: Algebra, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(y) x on coordinates: the package's one quadratic-action kernel.
+
+    ``y`` has shape (dim,) or (N, dim) and ``x`` shape (N, dim) or (dim,).
+    Matrix kinds evaluate the two-sided conjugation y x y on the structured
+    view; the Lorentz family uses P(y) x = 2 <y, x> y - det(y) (x0, -xbar).
+    Agrees with ``apply(p_map(y), x)`` without materializing the operator.
     """
-    c = np.asarray(coords, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
     if algebra.kind is AlgebraKind.LORENTZ:
-        x0 = c[:, 0]
-        xbar = c[:, 1:]
-        nrm = np.sqrt(np.sum(xbar**2, axis=1))
-        f_hi = fn(x0 + nrm)
-        f_lo = fn(x0 - nrm)
-        out = np.empty_like(c)
-        out[:, 0] = (f_hi + f_lo) / 2.0
-        safe = np.where(nrm > 0.0, nrm, 1.0)
-        out[:, 1:] = (((f_hi - f_lo) / 2.0) / safe)[:, None] * xbar
-        return out
-    mats = coords_to_mats(algebra, c)
-    if algebra.kind is AlgebraKind.SYM_REAL:
-        w, v = eigh.jacobi_eigh_batch(mats)
-        out = np.einsum("nij,nj,nkj->nik", v, fn(w), v)
-        out = (out + out.transpose(0, 2, 1)) / 2.0
-        return mats_to_coords(algebra, out)
-    r = algebra.param
-    w, v = eigh.jacobi_eigh_batch(_embed_hermitian(mats))
-    big = np.einsum("nij,nj,nkj->nik", v, fn(w), v)
-    re = (big[:, :r, :r] + big[:, r:, r:]) / 2.0
-    im = (big[:, r:, :r] - big[:, :r, r:]) / 2.0
-    herm = re + 1j * im
-    herm = (herm + herm.conj().transpose(0, 2, 1)) / 2.0
-    return mats_to_coords(algebra, herm)
+        dots = np.sum(y * x, axis=-1)
+        dets = y[..., 0] ** 2 - np.sum(y[..., 1:] ** 2, axis=-1)
+        flipped = x.copy()
+        flipped[..., 1:] *= -1.0
+        return 2.0 * dots[..., None] * y - dets[..., None] * flipped
+    ym = coords_to_mats(algebra, y)
+    return mats_to_coords(algebra, _hermitian_part(ym @ coords_to_mats(algebra, x) @ ym))
+
+
+def _in_open_cone(eigs, eps: float = EPS_CONE, scale=None):
+    """The open-cone test on Jordan eigenvalues along the last axis: the
+    smallest exceeds ``eps`` times ``scale`` (default: the spectral radius)
+    and the scale is positive.  Returns a bool per row."""
+    w = np.asarray(eigs, dtype=float)
+    ref = np.abs(w).max(axis=-1) if scale is None else np.asarray(scale, dtype=float)
+    return (ref > 0.0) & (w.min(axis=-1) > eps * ref)
+
+
+def _require_open_cone(eigs, what: str, eps: float = EPS_CONE, error=NotInCone) -> float:
+    """The smallest of one element's eigenvalues; raises ``error``, quoting it
+    and the spectral radius after ``what``, when :func:`_in_open_cone` fails."""
+    w = np.asarray(eigs, dtype=float)
+    if not _in_open_cone(w, eps):
+        raise error(f"{what} (min eigenvalue {w.min():.3e}, radius {np.abs(w).max():.3e})")
+    return float(w.min())
+
+
+def _log_det(x) -> float:
+    """log det of an element, or of the Jordan eigenvalues given as an array."""
+    w = eigenvalues(x) if isinstance(x, Element) else x
+    return float(np.sum(np.log(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +407,8 @@ def spectral_map_batch(algebra: Algebra, coords: np.ndarray, fn) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _unit_coords(algebra: Algebra) -> np.ndarray:
-    if algebra.kind is AlgebraKind.LORENTZ:
-        c = np.zeros(algebra.dim)
-        c[0] = 1.0
-    else:
-        c = np.zeros(algebra.dim)
-        c[: algebra.param] = 1.0
+    c = np.zeros(algebra.dim)
+    c[: 1 if algebra.kind is AlgebraKind.LORENTZ else algebra.param] = 1.0
     c.setflags(write=False)
     return c
 
@@ -410,23 +464,9 @@ def apply(m: LinearMap, x: Element) -> Element:
 
 
 def quadratic_action(y: Element, x: Element) -> Element:
-    """P(y) x without materializing the operator matrix.
-
-    Matrix kinds evaluate the two-sided conjugation y x y on the structured
-    view; the Lorentz family uses P(y) x = 2 <y, x> y - det(y) (x0, -xbar).
-    Agrees with ``apply(p_map(y), x)`` and is much cheaper in hot loops.
-    """
+    """P(y) x through :func:`quadratic_action_batch`."""
     _check_same_algebra(y, x)
-    alg = y.algebra
-    if alg.kind is AlgebraKind.LORENTZ:
-        dot = float(y.coords @ x.coords)
-        dety = y.coords[0] ** 2 - float(y.coords[1:] @ y.coords[1:])
-        flipped = x.coords.copy()
-        flipped[1:] *= -1.0
-        return Element(alg, 2.0 * dot * y.coords - dety * flipped)
-    ym = y.to_matrix()
-    out = ym @ x.to_matrix() @ ym
-    return Element(alg, mats_to_coords(alg, (out + out.conj().T) / 2.0))
+    return Element(y.algebra, quadratic_action_batch(y.algebra, y.coords, x.coords))
 
 
 def eigenvalues(x: Element) -> np.ndarray:
@@ -461,41 +501,30 @@ def inner(x: Element, y: Element) -> float:
     return float(np.real(np.sum(xm * ym.conj())))
 
 
-def _spectral_map(x: Element, fn) -> Element:
-    return Element(x.algebra, spectral_map_batch(x.algebra, x.coords[None], fn)[0])
-
-
 def inverse(x: Element) -> Element:
     """Jordan inverse; raises SingularElement near the non-invertible set."""
-    w = eigenvalues(x)
-    radius = float(np.abs(w).max())
-    if radius == 0.0 or float(np.abs(w).min()) < EPS_SINGULAR * radius:
+    spectrum = _Spectrum(x.algebra, x.coords[None], vectors=True)
+    w = np.abs(spectrum.eigs[0])
+    if not w.min() >= EPS_SINGULAR * w.max() > 0.0:
         raise SingularElement(
             f"element of {x.algebra.spec_string()} is singular "
-            f"(|eigenvalues| in [{np.abs(w).min():.3e}, {radius:.3e}])"
+            f"(|eigenvalues| in [{w.min():.3e}, {w.max():.3e}])"
         )
-    return _spectral_map(x, lambda t: 1.0 / t)
+    return Element(x.algebra, spectrum.map(lambda t: 1.0 / t)[0])
+
+
+def _cone_map(x: Element, fn, what: str) -> Element:
+    # one spectral pass: the domain is checked on the spectrum that is mapped
+    spectrum = _Spectrum(x.algebra, x.coords[None], vectors=True)
+    _require_open_cone(spectrum.eigs[0], f"{what} requested outside the open cone")
+    return Element(x.algebra, spectrum.map(fn)[0])
 
 
 def sqrt_in_cone(x: Element) -> Element:
     """The unique square root inside the open cone."""
-    w = eigenvalues(x)
-    radius = float(np.abs(w).max())
-    if radius == 0.0 or float(w.min()) <= EPS_CONE * radius:
-        raise NotInCone(
-            f"square root requested outside the open cone "
-            f"(min eigenvalue {w.min():.3e}, radius {radius:.3e})"
-        )
-    return _spectral_map(x, np.sqrt)
+    return _cone_map(x, np.sqrt, "square root")
 
 
 def inv_sqrt_in_cone(x: Element) -> Element:
-    """x^{-1/2} in one spectral pass; same domain as :func:`sqrt_in_cone`."""
-    w = eigenvalues(x)
-    radius = float(np.abs(w).max())
-    if radius == 0.0 or float(w.min()) <= EPS_CONE * radius:
-        raise NotInCone(
-            f"inverse square root requested outside the open cone "
-            f"(min eigenvalue {w.min():.3e}, radius {radius:.3e})"
-        )
-    return _spectral_map(x, lambda t: 1.0 / np.sqrt(t))
+    """x^{-1/2}; same domain as :func:`sqrt_in_cone`."""
+    return _cone_map(x, lambda t: 1.0 / np.sqrt(t), "inverse square root")

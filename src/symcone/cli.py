@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funceq, harness, wishart
-from .algebra import Algebra, Element, eigenvalues, trace, unit
+from .algebra import Algebra, Element, _log_det, trace, unit
 from .errors import NotInCone, OutOfRegion, PoleError, SingularElement
 from .geometry import ConeElement
 
@@ -64,6 +64,20 @@ def _scale_args(parser, suffix=""):
         f"--scale{suffix}-file", default=None, metavar="PATH",
         help=f"JSON element file for the scale a{suffix}",
     )
+
+
+def _experiment_args(parser):
+    _algebra_arg(parser)
+    parser.add_argument("--p1", type=float, default=4.0)
+    parser.add_argument("--p2", type=float, default=4.0)
+    parser.add_argument("--n", type=int, default=10000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--level", type=float, default=0.05)
+    parser.add_argument("--permutations", type=int, default=harness.DEFAULT_PERMUTATIONS)
+    parser.add_argument(
+        "--max-stat-samples", type=int, default=harness.DEFAULT_MAX_STAT_SAMPLES
+    )
+    parser.add_argument("--workers", type=int, default=1)
 
 
 def _out_args(parser):
@@ -115,28 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     _out_args(p)
 
     p = sub.add_parser("verify-lukacs", help="forward independence experiment")
-    _algebra_arg(p)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--p2", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--permutations", type=int, default=harness.DEFAULT_PERMUTATIONS)
-    p.add_argument("--max-stat-samples", type=int, default=harness.DEFAULT_MAX_STAT_SAMPLES)
-    p.add_argument("--workers", type=int, default=1)
+    _experiment_args(p)
     _scale_args(p)
     _out_args(p)
 
     p = sub.add_parser("verify-negative", help="mismatched-scale power experiment")
-    _algebra_arg(p)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--p2", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--permutations", type=int, default=harness.DEFAULT_PERMUTATIONS)
-    p.add_argument("--max-stat-samples", type=int, default=harness.DEFAULT_MAX_STAT_SAMPLES)
-    p.add_argument("--workers", type=int, default=1)
+    _experiment_args(p)
     _scale_args(p, suffix="1")
     _scale_args(p, suffix="2")
     _out_args(p)
@@ -167,6 +165,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (option, test, requirement) for every subcommand that has the option
+_LIMITS = (
+    ("p", math.isfinite, "finite"),
+    ("p1", math.isfinite, "finite"),
+    ("p2", math.isfinite, "finite"),
+    ("n", lambda v: v >= 1, "positive"),
+    ("seed", lambda v: v >= 0, "nonnegative"),
+    ("level", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("tol", lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    ("workers", lambda v: v >= 1, "at least 1"),
+    ("n_pairs", lambda v: v >= 1, "at least 1"),
+    ("permutations", lambda v: v >= 1, "at least 1"),
+)
+
+
 def parse(argv) -> Command:
     """Parse and validate an argument vector (exits with status 2 on usage
     errors, argparse style)."""
@@ -184,16 +197,24 @@ def parse(argv) -> Command:
                 f"shape {attr}={value} out of range for {options.algebra}: "
                 f"requires {attr} > {threshold} (= dim/r - 1)"
             )
-    if getattr(options, "n", None) is not None and options.n < 1:
-        parser.error("--n must be positive")
-    if getattr(options, "seed", None) is not None and options.seed < 0:
-        parser.error("--seed must be nonnegative")
+    for attr, ok, requirement in _LIMITS:
+        value = getattr(options, attr, None)
+        if value is not None and not ok(value):
+            parser.error(f"--{attr.replace('_', '-')} must be {requirement}, got {value!r}")
+    if options.subcommand.startswith("verify-") and options.n < harness.MIN_EXPERIMENT_SAMPLES:
+        parser.error(
+            f"--n must be at least {harness.MIN_EXPERIMENT_SAMPLES} for experiments, "
+            f"got {options.n!r}"
+        )
     return Command(subcommand=options.subcommand, options=options)
 
 
 def _load_element(path: str) -> Element:
     with open(path) as fh:
-        return Element.from_json_dict(json.load(fh))
+        try:
+            return Element.from_json_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
+            raise ValueError(f"element file {path} is malformed: {exc!r}") from None
 
 
 def _resolve_scale(ns, algebra: Algebra, suffix: str = "") -> ConeElement:
@@ -292,6 +313,11 @@ def _run_verify_negative(ns, algebra) -> tuple[int, str]:
 
 
 def _run_check_funceq(ns, algebra) -> tuple[int, str]:
+    def summary(max_residual: float, mean_residual: float) -> funceq.ResidualReport:
+        return funceq.ResidualReport(
+            ns.equation, algebra.spec_string(), ns.n_pairs, max_residual, mean_residual, ns.seed
+        )
+
     if ns.equation == "olkin-baker":
         family = _family_from_string(ns.family, algebra)
         fields = funceq.make_regular_solution(family)
@@ -307,13 +333,9 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
         c = funceq.log_det_field() if ns.field == "logdet" else funceq.trace_field()
         pairs = funceq.sample_cone_pairs(algebra, ns.n_pairs, ns.seed)
         product_form, conjugation_form = funceq.log_quadratic_residual(c, pairs, seed=ns.seed)
-        report = funceq.ResidualReport(
-            equation="log-quadratic",
-            algebra=algebra.spec_string(),
-            n_pairs=ns.n_pairs,
-            max_residual=max(product_form.max_residual, conjugation_form.max_residual),
-            mean_residual=(product_form.mean_residual + conjugation_form.mean_residual) / 2.0,
-            seed=ns.seed,
+        report = summary(
+            max(product_form.max_residual, conjugation_form.max_residual),
+            (product_form.mean_residual + conjugation_form.mean_residual) / 2.0,
         )
     elif ns.equation == "cocycle":
         c = funceq.log_det_field() if ns.field == "logdet" else funceq.trace_field()
@@ -322,23 +344,14 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
     elif ns.equation == "homogeneity":
         if ns.field == "det-over-trace":
             r = algebra.rank
-            field = funceq.ScalarField(
-                lambda x: float(np.sum(np.log(eigenvalues(x)))) - r * math.log(trace(x))
-            )
+            field = funceq.ScalarField(lambda x: _log_det(x) - r * math.log(trace(x)))
         elif ns.field == "trace":
             field = funceq.trace_field()
         else:
             field = funceq.log_det_field()
         points = funceq.sample_cone_points(algebra, ns.n_pairs, ns.seed)
         defect = funceq.homogeneity_defect(field, [0.5, 2.0, 3.7], points)
-        report = funceq.ResidualReport(
-            equation="homogeneity",
-            algebra=algebra.spec_string(),
-            n_pairs=ns.n_pairs,
-            max_residual=defect,
-            mean_residual=defect,
-            seed=ns.seed,
-        )
+        report = summary(defect, defect)
     else:  # pexider
         family = _family_from_string(ns.family, algebra)
         samples = funceq.generate_pexider_samples(
@@ -349,14 +362,7 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
         recovery = max(
             lam_err, abs(fit.b - family.c1), abs(fit.c - family.c2), fit.max_residual
         )
-        report = funceq.ResidualReport(
-            equation="pexider",
-            algebra=algebra.spec_string(),
-            n_pairs=ns.n_pairs,
-            max_residual=recovery,
-            mean_residual=fit.max_residual,
-            seed=ns.seed,
-        )
+        report = summary(recovery, fit.max_residual)
     code = 0 if report.max_residual <= ns.tol else 1
     return code, report.to_json()
 
@@ -392,7 +398,10 @@ def run(cmd: Command) -> int:
     algebra = Algebra.from_spec(ns.algebra)
     try:
         code, output = _RUNNERS[cmd.subcommand](ns, algebra)
-    except (NotInCone, SingularElement, OutOfRegion, PoleError, ValueError, OSError) as exc:
+    except (
+        NotInCone, SingularElement, OutOfRegion, PoleError, ValueError, OSError,
+        OverflowError, RuntimeError,
+    ) as exc:
         print(f"symcone {cmd.subcommand}: {exc}", file=sys.stderr)
         return 1
     print(output)

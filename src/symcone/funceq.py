@@ -29,7 +29,7 @@ import numpy as np
 from . import wishart
 from .algebra import (
     Element,
-    eigenvalues,
+    _log_det,
     inner,
     inv_sqrt_in_cone,
     quadratic_action,
@@ -63,9 +63,7 @@ class ScalarField:
 
 
 def log_det_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
-    return ScalarField(
-        lambda x: coefficient * float(np.sum(np.log(eigenvalues(x)))), domain
-    )
+    return ScalarField(lambda x: coefficient * _log_det(x), domain)
 
 
 def trace_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
@@ -99,14 +97,10 @@ def make_regular_solution(fam: SolutionFamily):
     """The continuous solution quadruple (a, b, c, d) of the family."""
     lam, c1, c2, kappa = fam.lam, fam.c1, fam.c2, fam.kappa
     e = unit(lam.algebra)
-
-    def logdet(x):
-        return float(np.sum(np.log(eigenvalues(x))))
-
-    a = ScalarField(lambda x: inner(lam, x) + c1 * logdet(x) - kappa, "V")
-    b = ScalarField(lambda x: inner(lam, x) + c2 * logdet(x) + kappa, "V")
-    c = ScalarField(lambda x: inner(lam, x) + (c1 + c2) * logdet(x), "V")
-    d = ScalarField(lambda u: c1 * logdet(u) + c2 * logdet(e - u), "D")
+    a = ScalarField(lambda x: inner(lam, x) + c1 * _log_det(x) - kappa, "V")
+    b = ScalarField(lambda x: inner(lam, x) + c2 * _log_det(x) + kappa, "V")
+    c = ScalarField(lambda x: inner(lam, x) + (c1 + c2) * _log_det(x), "V")
+    d = ScalarField(lambda u: c1 * _log_det(u) + c2 * _log_det(e - u), "D")
     return a, b, c, d
 
 
@@ -130,15 +124,11 @@ def wishart_dictionary(p1: float, p2: float, a0: ConeElement):
         - wishart.log_multivariate_gamma(alg, p1)
         - wishart.log_multivariate_gamma(alg, p2)
     )
-
-    def logdet(x):
-        return float(np.sum(np.log(eigenvalues(x))))
-
     a = ScalarField(lambda x: wishart.log_density(params1, x), "V")
     b = ScalarField(lambda y: wishart.log_density(params2, y), "V")
-    c = ScalarField(lambda v: wishart.log_density(params_v, v) - q * logdet(v), "V")
+    c = ScalarField(lambda v: wishart.log_density(params_v, v) - q * _log_det(v), "V")
     d = ScalarField(
-        lambda u: log_beta_norm + (p1 - q) * logdet(u) + (p2 - q) * logdet(e - u), "D"
+        lambda u: log_beta_norm + (p1 - q) * _log_det(u) + (p2 - q) * _log_det(e - u), "D"
     )
     return a, b, c, d
 
@@ -180,10 +170,6 @@ def _report(equation, algebra, residuals, seed=None) -> ResidualReport:
         mean_residual=float(arr.mean()) if arr.size else 0.0,
         seed=seed,
     )
-
-
-def _split_u(x: Element, y: Element) -> Element:
-    return quadratic_action(inv_sqrt_in_cone(x + y), x)
 
 
 def olkin_baker_residual(
@@ -263,6 +249,17 @@ def cauchy_difference(c: ScalarField) -> Callable[[Element, Element], float]:
 # Pexider recovery
 # ---------------------------------------------------------------------------
 
+def _least_squares(rows, rhs, rank: int, what: str) -> tuple[np.ndarray, float]:
+    """Least-squares solution of rows @ s = rhs and its max absolute residual;
+    raises ValueError when the design has rank below ``rank``."""
+    design = np.asarray(rows)
+    target = np.asarray(rhs)
+    solution, _, found, _ = np.linalg.lstsq(design, target, rcond=None)
+    if found < rank:
+        raise ValueError(f"degenerate {what}: design rank {found} < {rank}; add points")
+    return solution, float(np.abs(design @ solution - target).max())
+
+
 @dataclass(eq=False)
 class PexiderFit:
     lam: Element
@@ -294,12 +291,7 @@ def pexider_fit(samples) -> PexiderFit:
         rhs.append(n_val)
     if algebra is None:
         raise ValueError("empty sample list")
-    design = np.asarray(rows)
-    target = np.asarray(rhs)
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < algebra.dim + 2:
-        raise ValueError(f"rank-deficient design (rank {rank} < {algebra.dim + 2})")
-    residual = float(np.abs(design @ solution - target).max())
+    solution, residual = _least_squares(rows, rhs, algebra.dim + 2, "sample set")
     return PexiderFit(
         lam=Element(algebra, solution[: algebra.dim]),
         b=float(solution[algebra.dim]),

@@ -7,25 +7,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS_CONE, Algebra, Element, eigenvalues, inner, unit
+from .algebra import (
+    EPS_CONE,
+    Algebra,
+    Element,
+    _in_open_cone,
+    _require_open_cone,
+    eigenvalues,
+    inner,
+    unit,
+)
 from .errors import NotInCone
-
-
-def _extrema(x: Element) -> tuple[float, float]:
-    w = eigenvalues(x)
-    return float(w.min()), float(np.abs(w).max())
 
 
 def contains_open(x: Element, eps: float = EPS_CONE) -> bool:
     """True iff every Jordan eigenvalue exceeds eps times the spectral radius."""
-    lo, radius = _extrema(x)
-    return radius > 0.0 and lo > eps * radius
+    return bool(_in_open_cone(eigenvalues(x), eps))
 
 
 def contains_closure(x: Element, eps: float = EPS_CONE) -> bool:
     """True iff every Jordan eigenvalue is >= -eps times the spectral radius."""
-    lo, radius = _extrema(x)
-    return lo >= -eps * radius
+    w = eigenvalues(x)
+    return float(w.min()) >= -eps * float(np.abs(w).max())
 
 
 def in_domain_D(u: Element, eps: float = EPS_CONE) -> bool:
@@ -49,13 +52,8 @@ class ConeElement:
 
     @classmethod
     def certify(cls, element: Element, eps: float = EPS_CONE) -> "ConeElement":
-        lo, radius = _extrema(element)
-        if radius == 0.0 or lo <= eps * radius:
-            raise NotInCone(
-                f"element is not in the open cone of {element.algebra.spec_string()} "
-                f"(min eigenvalue {lo:.3e}, radius {radius:.3e})"
-            )
-        return cls(element, lo)
+        what = f"element is not in the open cone of {element.algebra.spec_string()}"
+        return cls(element, _require_open_cone(eigenvalues(element), what, eps))
 
     @property
     def algebra(self) -> Algebra:

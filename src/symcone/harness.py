@@ -21,23 +21,25 @@ import numpy as np
 from . import dcor, rng, wishart
 from .algebra import (
     Algebra,
-    AlgebraKind,
     Element,
-    coords_to_mats,
+    _in_open_cone,
+    _log_det,
+    _Spectrum,
     eigvals_batch,
     eigenvalues,
     inv_sqrt_in_cone,
-    mats_to_coords,
     quadratic_action,
-    spectral_map_batch,
+    quadratic_action_batch,
     traces_batch,
     unit,
 )
 from .errors import NotInCone
+from .funceq import _least_squares
 from .geometry import ConeElement
 from .wishart import WishartParams
 
 DEFAULT_MARGIN = 1e-9  # resample when min eig of v drops below margin * trace(v)
+MIN_EXPERIMENT_SAMPLES = 1000
 DEFAULT_PERMUTATIONS = 500
 DEFAULT_MAX_STAT_SAMPLES = 1500
 DEFAULT_SEEDS = tuple(range(20))
@@ -56,16 +58,26 @@ def split(x, y, margin: float = DEFAULT_MARGIN) -> SplitPair:
     xe = x.element if isinstance(x, ConeElement) else x
     ye = y.element if isinstance(y, ConeElement) else y
     v = xe + ye
-    eigs = eigenvalues(v)
+    spectrum = _Spectrum(v.algebra, v.coords[None], vectors=True)
+    eigs = spectrum.eigs[0]
     tr = float(eigs.sum())
-    if not float(eigs.min()) > margin * max(tr, 0.0):
+    if not _in_open_cone(eigs, margin, scale=tr):
         raise NotInCone(
             f"sum of the pair fails the strict cone margin "
             f"(min eigenvalue {eigs.min():.3e}, trace {tr:.3e})"
         )
-    s = inv_sqrt_in_cone(v)
-    u = quadratic_action(s, xe)
-    return SplitPair(v=ConeElement(v, float(eigs.min())), u=u)
+    (u,) = _split_parts(v.algebra, spectrum, xe.coords)
+    return SplitPair(v=ConeElement(v, float(eigs.min())), u=Element(v.algebra, u[0]))
+
+
+def _split_parts(algebra: Algebra, spectrum, *parts: np.ndarray) -> list[np.ndarray]:
+    """P(v^(-1/2)) applied to each coordinate array in ``parts``, from the
+    spectrum (with eigenvectors) of the sums v; v must lie in the open cone."""
+    outside = ~_in_open_cone(spectrum.eigs, 0.0)
+    if outside.any():
+        raise NotInCone(f"{int(outside.sum())} pair sums fall outside the open cone")
+    s = spectrum.map(lambda t: 1.0 / np.sqrt(t))
+    return [quadratic_action_batch(algebra, s, part) for part in parts]
 
 
 def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray):
@@ -76,31 +88,8 @@ def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray):
     margin filtering happens here beyond that.
     """
     v = x_coords + y_coords
-    v_min = eigvals_batch(algebra, v)[:, 0]
-    if not (v_min > 0.0).all():
-        raise NotInCone(
-            f"{int((v_min <= 0.0).sum())} pair sums fall outside the open cone"
-        )
-    if algebra.kind is AlgebraKind.LORENTZ:
-        s = spectral_map_batch(algebra, v, lambda t: 1.0 / np.sqrt(t))
-        return v, _lorentz_quadratic_action(s, x_coords), _lorentz_quadratic_action(s, y_coords)
-    s_mats = coords_to_mats(
-        algebra, spectral_map_batch(algebra, v, lambda t: 1.0 / np.sqrt(t))
-    )
-    u = s_mats @ coords_to_mats(algebra, x_coords) @ s_mats
-    u_comp = s_mats @ coords_to_mats(algebra, y_coords) @ s_mats
-    u = (u + u.conj().transpose(0, 2, 1)) / 2.0
-    u_comp = (u_comp + u_comp.conj().transpose(0, 2, 1)) / 2.0
-    return v, mats_to_coords(algebra, u), mats_to_coords(algebra, u_comp)
-
-
-def _lorentz_quadratic_action(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # P(w) x = 2 <w, x> w - det(w) (x_0, -xbar) in the spin family
-    dots = np.sum(w * x, axis=1)
-    dets = w[:, 0] ** 2 - np.sum(w[:, 1:] ** 2, axis=1)
-    flipped = x.copy()
-    flipped[:, 1:] *= -1.0
-    return 2.0 * dots[:, None] * w - dets[:, None] * flipped
+    u, u_comp = _split_parts(algebra, _Spectrum(algebra, v, vectors=True), x_coords, y_coords)
+    return v, u, u_comp
 
 
 @dataclass(eq=False)
@@ -149,17 +138,19 @@ class IndependenceReport:
 
 
 def _draw_pairs_with_margin(params1, params2, n, seed, margin, workers):
-    """Paired draws with near-boundary sums replaced from a dedicated stream."""
+    """Paired draws with near-boundary sums replaced from a dedicated stream;
+    returns (x, y, resampled, spectrum of the final v = x + y with vectors)."""
     x = np.array(wishart.sample(params1, n, seed, stream=0, workers=workers).coords)
     y = np.array(wishart.sample(params2, n, seed, stream=1, workers=workers).coords)
     alg = params1.algebra
     resampled = 0
     for attempt in range(100):
         v = x + y
-        bad = eigvals_batch(alg, v)[:, 0] < margin * traces_batch(alg, v)
+        spectrum = _Spectrum(alg, v, vectors=True)
+        bad = ~_in_open_cone(spectrum.eigs, margin, scale=traces_batch(alg, v))
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return x, y, resampled
+            return x, y, resampled, spectrum
         resampled += n_bad
         x[bad] = wishart.sample(
             params1, n_bad, seed, stream=2 * attempt, _purpose=rng.PURPOSE_RESAMPLE
@@ -183,22 +174,23 @@ def _run_experiment(
     margin: float,
     workers: int,
 ) -> IndependenceReport:
-    if n < 1000:
-        raise ValueError("experiments need n >= 1000 samples")
+    if n < MIN_EXPERIMENT_SAMPLES:
+        raise ValueError(f"experiments need n >= {MIN_EXPERIMENT_SAMPLES} samples")
     alg = params1.algebra
-    x, y, resampled = _draw_pairs_with_margin(params1, params2, n, seed, margin, workers)
-    v, u, u_comp = split_batch(alg, x, y)
-
-    u_eigs = eigvals_batch(alg, u)
-    comp_eigs = eigvals_batch(alg, u_comp)
-    complement_residual = float(
-        np.abs(u + u_comp - unit(alg).coords[None, :]).max()
+    x, y, resampled, spectrum = _draw_pairs_with_margin(
+        params1, params2, n, seed, margin, workers
     )
+    v = x + y
+    u, u_comp = _split_parts(alg, spectrum, x, y)
+
+    # u_comp = e - u, so its eigenvalues are 1 - eig(u); the residual checks that
+    u_eigs = eigvals_batch(alg, u)
+    max_u = float(u_eigs[:, -1].max())
     domain_check = {
         "min_u_eigenvalue": float(u_eigs[:, 0].min()),
-        "max_u_eigenvalue": float(u_eigs[:, -1].max()),
-        "min_complement_eigenvalue": float(comp_eigs[:, 0].min()),
-        "max_complement_residual": complement_residual,
+        "max_u_eigenvalue": max_u,
+        "min_complement_eigenvalue": 1.0 - max_u,
+        "max_complement_residual": float(np.abs(u + u_comp - unit(alg).coords[None, :]).max()),
     }
 
     m = min(max_stat_samples, n)
@@ -396,21 +388,11 @@ def density_factorization_check(
         value = wishart.log_density(params, y)
         if not math.isfinite(value):
             raise ValueError("grid points must lie in the open cone")
-        logdet = float(np.sum(np.log(eigenvalues(y))))
-        rows.append(np.concatenate([y.coords, [logdet, 1.0]]))
+        rows.append(np.concatenate([y.coords, [_log_det(y), 1.0]]))
         rhs.append(value)
-    design = np.asarray(rows)
-    target = np.asarray(rhs)
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < alg.dim + 2:
-        raise ValueError(
-            f"degenerate grid: design rank {rank} < {alg.dim + 2}; add points"
-        )
-    residual = float(np.abs(design @ solution - target).max())
+    solution, residual = _least_squares(rows, rhs, alg.dim + 2, "grid")
     q = alg.dim / alg.rank
-    expected_c = p * float(np.sum(np.log(eigenvalues(a.element)))) - (
-        wishart.log_multivariate_gamma(alg, p)
-    )
+    expected_c = p * _log_det(a.element) - wishart.log_multivariate_gamma(alg, p)
     return FactorizationReport(
         algebra=alg.spec_string(),
         p=p,

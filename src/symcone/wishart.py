@@ -40,18 +40,20 @@ import numpy as np
 
 from . import rng
 from .algebra import (
-    EPS_CONE,
     Algebra,
     AlgebraKind,
     Element,
-    coords_to_mats,
+    _hermitian_part,
+    _in_open_cone,
+    _log_det,
+    _require_open_cone,
     eigvals_batch,
     eigenvalues,
     inner,
     inv_sqrt_in_cone,
     mats_to_coords,
-    p_map,
     quadratic_action,
+    quadratic_action_batch,
     unit,
 )
 from .errors import NotInCone, OutOfRegion, PoleError
@@ -108,7 +110,7 @@ class WishartParams:
                 f"requires p > {thr} (= dim/r - 1)"
             )
         # scale-dependent density constants, computed once (hot loops)
-        log_det_a = float(np.sum(np.log(eigenvalues(self.a.element))))
+        log_det_a = _log_det(self.a.element)
         object.__setattr__(self, "_log_det_a", log_det_a)
         object.__setattr__(
             self,
@@ -121,41 +123,37 @@ class WishartParams:
         return cls(algebra, p, ConeElement.certify(scale * unit(algebra)))
 
 
-def _log_det_from_eigs(eigs: np.ndarray) -> float:
-    return float(np.sum(np.log(eigs)))
-
-
 def log_density(params: WishartParams, y: Element) -> float:
     """Log density at y; -inf off the open cone (the support indicator)."""
     if y.algebra != params.algebra:
         raise ValueError("evaluation point belongs to a different algebra")
     alg = params.algebra
     w = eigenvalues(y)
-    radius = float(np.abs(w).max())
-    if radius == 0.0 or float(w.min()) <= EPS_CONE * radius:
+    if not _in_open_cone(w):
         return float("-inf")
     q = alg.dim / alg.rank
     return (
         params._log_norm
-        + (params.p - q) * _log_det_from_eigs(w)
+        + (params.p - q) * _log_det(w)
         - inner(params.a.element, y)
     )
 
 
 def laplace_transform(params: WishartParams, t: Element) -> float:
-    """det(e + P(a^(-1/2)) t)^(-p); OutOfRegion when the argument leaves V."""
+    """det(e + P(a^(-1/2)) t)^(-p); OutOfRegion when the argument leaves V,
+    OverflowError, quoting the log value, when the result exceeds a float."""
     if t.algebra != params.algebra:
         raise ValueError("transform argument belongs to a different algebra")
     alg = params.algebra
     w_half = inv_sqrt_in_cone(params.a.element)
     arg = unit(alg) + quadratic_action(w_half, t)
     eigs = eigenvalues(arg)
-    radius = float(np.abs(eigs).max())
-    if radius == 0.0 or float(eigs.min()) <= 0.0:
-        raise OutOfRegion(
-            f"e + P(a^(-1/2)) t left the open cone (min eigenvalue {eigs.min():.3e})"
-        )
-    return math.exp(-params.p * _log_det_from_eigs(eigs))
+    _require_open_cone(eigs, "e + P(a^(-1/2)) t left the open cone", 0.0, OutOfRegion)
+    log_value = -params.p * _log_det(eigs)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"Laplace transform overflows: log value {log_value:.6g}") from None
 
 
 def mean(params: WishartParams) -> Element:
@@ -189,8 +187,7 @@ def _bartlett_chunk(algebra: Algebra, p: float, m: int, gen: np.random.Generator
             t[:, il, jl] = re + 1j * im
         else:
             t[:, il, jl] = gen.normal(0.0, math.sqrt(0.5), size=(m, il.size))
-    y = t @ t.conj().transpose(0, 2, 1)
-    return (y + y.conj().transpose(0, 2, 1)) / 2.0
+    return _hermitian_part(t @ t.conj().transpose(0, 2, 1))
 
 
 def _lorentz_chunk(algebra: Algebra, p: float, m: int, gen: np.random.Generator) -> np.ndarray:
@@ -220,14 +217,8 @@ def _standard_chunk_coords(algebra: Algebra, p: float, m: int, gen) -> np.ndarra
 
 def _transport(params: WishartParams, coords: np.ndarray) -> np.ndarray:
     """Map standard draws to scale a by the quadratic representation of a^(-1/2)."""
-    alg = params.algebra
     w_half = inv_sqrt_in_cone(params.a.element)
-    if alg.kind is AlgebraKind.LORENTZ:
-        m = p_map(w_half).entries
-        return coords @ m.T
-    w = coords_to_mats(alg, w_half.coords)
-    y = w @ coords_to_mats(alg, coords) @ w
-    return mats_to_coords(alg, (y + y.conj().transpose(0, 2, 1)) / 2.0)
+    return quadratic_action_batch(params.algebra, w_half.coords, coords)
 
 
 @dataclass(eq=False)
@@ -282,13 +273,17 @@ class SampleBatch:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleBatch":
         alg = Algebra(AlgebraKind(data["algebra"]["kind"]), int(data["algebra"]["r_or_n"]))
-        a = ConeElement.certify(Element(alg, np.asarray(data["scale"], dtype=float)))
-        params = WishartParams(alg, float(data["p"]), a)
-        coords = np.asarray(data["samples"], dtype=float).reshape(int(data["count"]), alg.dim)
+        return cls._restore(alg, data, data["scale"], data["samples"])
+
+    @classmethod
+    def _restore(cls, alg: Algebra, meta, scale, rows) -> "SampleBatch":
+        """Rebuild a serialized batch and recompute its cone certificates."""
+        a = ConeElement.certify(Element(alg, np.asarray(scale, dtype=float)))
+        coords = np.asarray(rows, dtype=float).reshape(int(meta["count"]), alg.dim)
         return cls(
-            params=params,
-            seed=int(data["seed"]),
-            stream=int(data["stream"]),
+            params=WishartParams(alg, float(meta["p"]), a),
+            seed=int(meta["seed"]),
+            stream=int(meta["stream"]),
             coords=coords,
             min_eigenvalues=eigvals_batch(alg, coords)[:, 0],
         )
@@ -334,16 +329,7 @@ class SampleBatch:
         alg = Algebra.from_spec(meta["algebra"])
         if len(header) != alg.dim:
             raise ValueError("CSV header does not match the algebra dimension")
-        a = ConeElement.certify(Element(alg, np.asarray(json.loads(meta["scale"]))))
-        params = WishartParams(alg, float(meta["p"]), a)
-        coords = np.asarray(rows, dtype=float).reshape(int(meta["count"]), alg.dim)
-        return cls(
-            params=params,
-            seed=int(meta["seed"]),
-            stream=int(meta["stream"]),
-            coords=coords,
-            min_eigenvalues=eigvals_batch(alg, coords)[:, 0],
-        )
+        return cls._restore(alg, meta, json.loads(meta["scale"]), rows)
 
 
 def sample(
@@ -379,13 +365,12 @@ def sample(
             fill(entry)
 
     coords = _transport(params, coords)
-    min_eigs = eigvals_batch(alg, coords)[:, 0]
-    if not (min_eigs > 0.0).all():
-        worst = float(min_eigs.min())
+    eigs = eigvals_batch(alg, coords)
+    if not _in_open_cone(eigs, 0.0).all():
         raise NotInCone(
             f"sampler produced a draw outside the open cone (min eigenvalue "
-            f"{worst:.3e}); shape p={params.p} may be too close to the threshold"
+            f"{eigs[:, 0].min():.3e}); shape p={params.p} may be too close to the threshold"
         )
     return SampleBatch(
-        params=params, seed=seed, stream=stream, coords=coords, min_eigenvalues=min_eigs
+        params=params, seed=seed, stream=stream, coords=coords, min_eigenvalues=eigs[:, 0]
     )

@@ -256,6 +256,7 @@ def test_criterion_06_sampler_moments():
             f"worst |z| = {worst_z:.2f} over 12 settings; KS {ks_passes}/20 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_07_forward_lukacs():
     start = time.perf_counter()
     summary = run_repetitions(
@@ -279,6 +280,7 @@ def test_criterion_07_forward_lukacs():
                    f"complement residual {comp_resid:.1e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_negative_control():
     summary = run_repetitions(
         negative_experiment,
@@ -290,6 +292,7 @@ def test_criterion_08_negative_control():
     _report(8, ok, f"rejections {summary.rejections}/20 with scales e vs 3e")
 
 
+@pytest.mark.slow
 def test_criterion_09_olkin_baker_residuals():
     rng = np.random.default_rng(109)
     pairs = sample_cone_pairs(SYM3, 10000, seed=2025)

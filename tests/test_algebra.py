@@ -180,13 +180,23 @@ def test_p_map_conjugation_random(algebra, rng):
 
 
 def test_quadratic_action_matches_operator(algebra, rng):
-    from symcone.algebra import quadratic_action
+    from symcone.algebra import quadratic_action, quadratic_action_batch
 
     for _ in range(25):
         x = random_element(algebra, rng)
         y = random_element(algebra, rng)
         via_operator = apply(p_map(y), x)
         assert rel_err(quadratic_action(y, x).coords, via_operator.coords) < 1e-12
+    # the batch kernel, with y shared as (dim,) and per row as (N, dim)
+    xs = [random_element(algebra, rng) for _ in range(8)]
+    ys = [random_element(algebra, rng) for _ in range(8)]
+    x_coords = np.stack([x.coords for x in xs])
+    shared = quadratic_action_batch(algebra, ys[0].coords, x_coords)
+    per_row = quadratic_action_batch(algebra, np.stack([y.coords for y in ys]), x_coords)
+    assert shared.shape == per_row.shape == x_coords.shape
+    for x, y, got_shared, got_row in zip(xs, ys, shared, per_row):
+        assert rel_err(got_shared, apply(p_map(ys[0]), x).coords) < 1e-12
+        assert rel_err(got_row, apply(p_map(y), x).coords) < 1e-12
 
 
 def test_determinant_composition_example():
@@ -314,6 +324,26 @@ def test_inv_sqrt_consistency(algebra, rng):
         np.testing.assert_allclose(
             inv_sqrt_in_cone(x).coords, sqrt_in_cone(inverse(x)).coords, atol=1e-11
         )
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:2"])
+def test_inv_sqrt_is_one_spectral_pass(spec, rng, monkeypatch):
+    # the domain check and the map share one diagonalisation
+    from symcone import eigh
+
+    calls = []
+    original = eigh.jacobi_eigh_batch
+
+    def counting(mats, *args, **kwargs):
+        calls.append(np.shape(mats))
+        return original(mats, *args, **kwargs)
+
+    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting)
+    x = random_cone_element(Algebra.from_spec(spec), rng, ridge=0.1)
+    s = inv_sqrt_in_cone(x)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rel_err(jordan_product(s, jordan_product(s, x)).coords, unit(x.algebra).coords) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -31,11 +35,63 @@ def test_parse_valid_sample_command():
     assert cmd.options.seed == 7
 
 
-def test_parse_rejects_out_of_range_shape(capsys):
+@pytest.mark.parametrize(
+    "argv,quoted",
+    [
+        # the message cites the dim/r - 1 threshold
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "0.2", "--n", "10", "--seed", "0"], "0.5",
+            id="p-below-threshold",
+        ),
+        pytest.param(
+            ["density", "--algebra", "symr:1", "--p", "inf", "--point", "[1.0]"], "got inf",
+            id="p-inf",
+        ),
+        pytest.param(
+            ["verify-lukacs", "--algebra", "symr:2", "--p1", "inf"], "got inf", id="p1-inf"
+        ),
+        pytest.param(
+            ["check-funceq", "--algebra", "symr:2", "--equation", "cocycle", "--p2", "nan"],
+            "got nan", id="p2-nan",
+        ),
+        pytest.param(
+            ["verify-lukacs", "--algebra", "symr:3", "--n", "2000", "--level", "5"], "got 5.0",
+            id="level-5",
+        ),
+        pytest.param(
+            ["verify-negative", "--algebra", "symr:3", "--level", "0"], "got 0.0", id="level-0"
+        ),
+        pytest.param(
+            ["check-funceq", "--algebra", "symr:2", "--equation", "cocycle", "--tol", "nan"],
+            "got nan", id="tol-nan",
+        ),
+        pytest.param(
+            ["check-funceq", "--algebra", "symr:2", "--equation", "cocycle", "--tol", "-1"],
+            "got -1.0", id="tol-negative",
+        ),
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "3", "--n", "10", "--seed", "0",
+             "--workers", "0"], "got 0", id="workers-0",
+        ),
+        pytest.param(
+            ["check-funceq", "--algebra", "symr:2", "--equation", "cocycle", "--n-pairs", "0"],
+            "got 0", id="n-pairs-0",
+        ),
+        pytest.param(
+            ["verify-lukacs", "--algebra", "symr:2", "--permutations", "0"], "got 0",
+            id="permutations-0",
+        ),
+        pytest.param(
+            ["verify-negative", "--algebra", "symr:2", "--n", "999"], "got 999",
+            id="verify-n-999",
+        ),
+    ],
+)
+def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.parse(["sample", "--algebra", "symr:2", "--p", "0.2", "--n", "10", "--seed", "0"])
+        cli.parse(argv)
     assert exc.value.code == 2
-    assert "0.5" in capsys.readouterr().err  # message cites the dim/r - 1 threshold
+    assert quoted in capsys.readouterr().err
 
 
 def test_parse_rejects_unknown_subcommand():
@@ -84,6 +140,19 @@ def test_laplace_out_of_region_fails_cleanly(capsys):
     assert code == 1
     assert out == ""
     assert "cone" in err
+
+
+def test_laplace_overflow_fails_cleanly():
+    # a real process, so an uncaught exception would show as a traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcone.cli", "laplace", "--algebra", "symr:2",
+         "--p", "300", "--t", "-0.999999"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "log value" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_density_inline_point(capsys):
@@ -170,6 +239,29 @@ def test_missing_file_is_runtime_error(capsys):
     )
     assert code == 1
     assert "density" in err
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ('{"coords": [1.0, 0.0, 1.0]}', "'algebra'"),
+        ('{"algebra": {"r_or_n": 2}, "coords": [1.0, 0.0, 1.0]}', "'kind'"),
+        ('{"algebra": {"kind": "symr", "r_or_n": 2}}', "'coords'"),
+        ('{"algebra": "symr:2", "coords": [1.0, 0.0, 1.0]}', "malformed"),
+        ('{"algebra": ', "JSON"),
+    ],
+    ids=["no-algebra", "no-kind", "no-coords", "algebra-not-object", "truncated-json"],
+)
+def test_malformed_element_file_is_runtime_error(text, named, capsys, tmp_path):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(unit(Algebra.sym_real(2)).to_json())
+    code, out, err = run_cli(
+        ["split", "--algebra", "symr:2", "--x-file", str(bad), "--y-file", str(good)], capsys
+    )
+    assert code == 1 and out == ""
+    assert str(bad) in err and named in err
+    assert "Traceback" not in err
 
 
 def test_check_funceq_exit_codes(capsys):

@@ -137,6 +137,38 @@ def test_negative_experiment_rejects_scale_mismatch():
     assert report.p_value == pytest.approx(1.0 / 100.0)
 
 
+def test_experiment_diagonalises_v_once_and_never_u_comp(monkeypatch):
+    from symcone import eigh
+    from symcone.algebra import coords_to_mats
+
+    a1, a2 = cone_unit(SYM2), cone_unit(SYM2, 3.0)
+    kwargs = dict(n=1000, seed=2, permutations=5, max_stat_samples=200)
+    x = sample(WishartParams(SYM2, 3.0, a1), 1000, 2, stream=0).coords
+    y = sample(WishartParams(SYM2, 3.0, a2), 1000, 2, stream=1).coords
+    v, _, u_comp = split_batch(SYM2, x, y)
+    inputs = []
+    original = eigh.jacobi_eigh_batch
+
+    def counting(mats, *args, **kw):
+        inputs.append(np.array(mats))
+        return original(mats, *args, **kw)
+
+    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting)
+    report = negative_experiment(3.0, 3.0, a1, a2, **kwargs)
+    monkeypatch.undo()
+    assert report.resampled == 0  # so the final v is x + y of streams 0 and 1
+
+    def diagonalisations(coords):
+        target = coords_to_mats(SYM2, coords)
+        return sum(m.shape == target.shape and np.array_equal(m, target) for m in inputs)
+
+    assert diagonalisations(v) == 1
+    assert diagonalisations(u_comp) == 0
+    assert report.domain_check["min_complement_eigenvalue"] == pytest.approx(
+        eigvals_batch(SYM2, u_comp)[:, 0].min(), abs=1e-12
+    )
+
+
 def test_negative_experiment_gap_precondition():
     with pytest.raises(ValueError, match="gap"):
         negative_experiment(3.0, 3.0, cone_unit(SYM2), cone_unit(SYM2), n=2000, seed=0)
