@@ -395,10 +395,17 @@ def _require_open_cone(eigs, what: str, eps: float = EPS_CONE, error=NotInCone) 
     return float(w.min())
 
 
-def _log_det(x) -> float:
-    """log det of an element, or of the Jordan eigenvalues given as an array."""
-    w = eigenvalues(x) if isinstance(x, Element) else x
-    return float(np.sum(np.log(w)))
+def _log_det_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
+    """log det of each row of a (N, dim) coordinate batch."""
+    return _log_det(eigvals_batch(algebra, coords))
+
+
+def _log_det(x):
+    """log det of an element (a float), or of the Jordan eigenvalues along
+    the last axis of an array."""
+    if isinstance(x, Element):
+        return float(_log_det_batch(x.algebra, x.coords[None])[0])
+    return np.sum(np.log(x), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +520,27 @@ def inverse(x: Element) -> Element:
     return Element(x.algebra, spectrum.map(lambda t: 1.0 / t)[0])
 
 
-def _cone_map(x: Element, fn, what: str) -> Element:
-    # one spectral pass: the domain is checked on the spectrum that is mapped
-    spectrum = _Spectrum(x.algebra, x.coords[None], vectors=True)
-    _require_open_cone(spectrum.eigs[0], f"{what} requested outside the open cone")
-    return Element(x.algebra, spectrum.map(fn)[0])
+def _cone_map(algebra: Algebra, coords: np.ndarray, fn, what: str) -> np.ndarray:
+    """``fn`` of the spectrum of each row of a (N, dim) batch, which must lie
+    in the open cone; one spectral pass both checks and maps."""
+    spectrum = _Spectrum(algebra, coords, vectors=True)
+    inside = _in_open_cone(spectrum.eigs)
+    if not inside.all():
+        first = spectrum.eigs[np.argmin(inside)]
+        _require_open_cone(first, f"{what} requested outside the open cone")
+    return spectrum.map(fn)
 
 
 def sqrt_in_cone(x: Element) -> Element:
     """The unique square root inside the open cone."""
-    return _cone_map(x, np.sqrt, "square root")
+    return Element(x.algebra, _cone_map(x.algebra, x.coords[None], np.sqrt, "square root")[0])
+
+
+def _inv_sqrt_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
+    """x^{-1/2} of each row of a (N, dim) batch; same domain as :func:`sqrt_in_cone`."""
+    return _cone_map(algebra, coords, lambda t: 1.0 / np.sqrt(t), "inverse square root")
 
 
 def inv_sqrt_in_cone(x: Element) -> Element:
-    """x^{-1/2}; same domain as :func:`sqrt_in_cone`."""
-    return _cone_map(x, lambda t: 1.0 / np.sqrt(t), "inverse square root")
+    """x^{-1/2} through :func:`_inv_sqrt_batch`."""
+    return Element(x.algebra, _inv_sqrt_batch(x.algebra, x.coords[None])[0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funceq, harness, wishart
-from .algebra import Algebra, Element, _log_det, trace, unit
+from .algebra import Algebra, Element, _log_det_batch, traces_batch, unit
 from .errors import NotInCone, OutOfRegion, PoleError, SingularElement
 from .geometry import ConeElement
 
@@ -177,6 +177,7 @@ _LIMITS = (
     ("workers", lambda v: v >= 1, "at least 1"),
     ("n_pairs", lambda v: v >= 1, "at least 1"),
     ("permutations", lambda v: v >= 1, "at least 1"),
+    ("max_stat_samples", lambda v: v >= 2, "at least 2"),
 )
 
 
@@ -264,7 +265,13 @@ def _run_density(ns, algebra) -> tuple[int, str]:
     if ns.point_file:
         point = _load_element(ns.point_file)
     else:
-        point = Element(algebra, np.asarray(json.loads(ns.point), dtype=float))
+        try:
+            coords = json.loads(ns.point)
+        except ValueError:
+            coords = None
+        if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
+            raise ValueError(f"--point must be a JSON list of numbers, got {ns.point!r}")
+        point = Element(algebra, np.asarray(coords, dtype=float))
     return 0, _scalar_json(wishart.log_density(params, point))
 
 
@@ -344,7 +351,9 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
     elif ns.equation == "homogeneity":
         if ns.field == "det-over-trace":
             r = algebra.rank
-            field = funceq.ScalarField(lambda x: _log_det(x) - r * math.log(trace(x)))
+            field = funceq.ScalarField(funceq._Kernel(
+                lambda alg, x: _log_det_batch(alg, x) - r * np.log(traces_batch(alg, x))
+            ))
         elif ns.field == "trace":
             field = funceq.trace_field()
         else:

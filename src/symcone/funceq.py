@@ -21,7 +21,7 @@ least squares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,22 +29,29 @@ import numpy as np
 from . import wishart
 from .algebra import (
     Element,
-    _log_det,
+    _inv_sqrt_batch,
+    _log_det_batch,
+    _unit_coords,
     inner,
-    inv_sqrt_in_cone,
-    quadratic_action,
-    trace,
+    quadratic_action_batch,
     traces_batch,
-    unit,
 )
+from .errors import AlgebraMismatch
 from .geometry import ConeElement
 from .rng import PURPOSE_PAIRS
 from .wishart import WishartParams
 
-# shape of the standard draws used to populate residual sweeps: comfortably
-# above the density threshold so log det stays tame
-def _default_pair_shape(algebra) -> float:
-    return algebra.dim / algebra.rank + 1.0
+
+class _Kernel:
+    """A built-in map (algebra, (N, dim) coords, ...) -> (N,).  Called on
+    elements, it evaluates the one-row batch, so the scalar and the batch
+    paths share their arithmetic."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def __call__(self, *points: Element) -> float:
+        return float(self.batch(points[0].algebra, *(p.coords[None] for p in points))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +69,28 @@ class ScalarField:
         return float(self.fn(x))
 
 
+def _evaluate(f, algebra, *coords: np.ndarray) -> np.ndarray:
+    """Values of a field, predicate or two-point map on the rows of (N, dim)
+    batches: one call of its batch kernel when it is built in, else the
+    row-wise callable on rebuilt elements (user-supplied maps)."""
+    kernel = f.fn if isinstance(f, ScalarField) else f
+    if isinstance(kernel, _Kernel):
+        return kernel.batch(algebra, *coords)
+    return np.array(
+        [f(*(Element(algebra, row) for row in rows)) for rows in zip(*coords)], dtype=float
+    )
+
+
 def log_det_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
-    return ScalarField(lambda x: coefficient * _log_det(x), domain)
+    return ScalarField(_Kernel(lambda alg, x: coefficient * _log_det_batch(alg, x)), domain)
 
 
 def trace_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
-    return ScalarField(lambda x: coefficient * trace(x), domain)
+    return ScalarField(_Kernel(lambda alg, x: coefficient * traces_batch(alg, x)), domain)
 
 
 def linear_field(lam: Element, domain: str = "V") -> ScalarField:
-    return ScalarField(lambda x: inner(lam, x), domain)
+    return ScalarField(_Kernel(lambda alg, x: x @ lam.coords), domain)
 
 
 def with_injected_defect(
@@ -79,8 +98,12 @@ def with_injected_defect(
 ) -> ScalarField:
     """Add ``offset`` on part of the domain (default: where trace exceeds
     half the rank); a negative control for residual detectors."""
-    alg_half = predicate or (lambda x: trace(x) > x.algebra.rank / 2.0)
-    return ScalarField(lambda x: f(x) + (offset if alg_half(x) else 0.0), f.domain)
+    where = predicate or _Kernel(lambda alg, x: traces_batch(alg, x) > alg.rank / 2.0)
+
+    def batch(alg, x):
+        return _evaluate(f, alg, x) + np.where(_evaluate(where, alg, x) != 0.0, offset, 0.0)
+
+    return ScalarField(_Kernel(batch), f.domain)
 
 
 @dataclass(frozen=True)
@@ -95,13 +118,15 @@ class SolutionFamily:
 
 def make_regular_solution(fam: SolutionFamily):
     """The continuous solution quadruple (a, b, c, d) of the family."""
-    lam, c1, c2, kappa = fam.lam, fam.c1, fam.c2, fam.kappa
-    e = unit(lam.algebra)
-    a = ScalarField(lambda x: inner(lam, x) + c1 * _log_det(x) - kappa, "V")
-    b = ScalarField(lambda x: inner(lam, x) + c2 * _log_det(x) + kappa, "V")
-    c = ScalarField(lambda x: inner(lam, x) + (c1 + c2) * _log_det(x), "V")
-    d = ScalarField(lambda u: c1 * _log_det(u) + c2 * _log_det(e - u), "D")
-    return a, b, c, d
+    lam, c1, c2, kappa = fam.lam.coords, fam.c1, fam.c2, fam.kappa
+    a = _Kernel(lambda alg, x: x @ lam + c1 * _log_det_batch(alg, x) - kappa)
+    b = _Kernel(lambda alg, x: x @ lam + c2 * _log_det_batch(alg, x) + kappa)
+    c = _Kernel(lambda alg, x: x @ lam + (c1 + c2) * _log_det_batch(alg, x))
+    d = _Kernel(
+        lambda alg, u: c1 * _log_det_batch(alg, u)
+        + c2 * _log_det_batch(alg, _unit_coords(alg) - u)
+    )
+    return ScalarField(a, "V"), ScalarField(b, "V"), ScalarField(c, "V"), ScalarField(d, "D")
 
 
 def wishart_dictionary(p1: float, p2: float, a0: ConeElement):
@@ -118,19 +143,21 @@ def wishart_dictionary(p1: float, p2: float, a0: ConeElement):
     params1 = WishartParams(alg, p1, a0)
     params2 = WishartParams(alg, p2, a0)
     params_v = WishartParams(alg, p1 + p2, a0)
-    e = unit(alg)
     log_beta_norm = (
         wishart.log_multivariate_gamma(alg, p1 + p2)
         - wishart.log_multivariate_gamma(alg, p1)
         - wishart.log_multivariate_gamma(alg, p2)
     )
-    a = ScalarField(lambda x: wishart.log_density(params1, x), "V")
-    b = ScalarField(lambda y: wishart.log_density(params2, y), "V")
-    c = ScalarField(lambda v: wishart.log_density(params_v, v) - q * _log_det(v), "V")
-    d = ScalarField(
-        lambda u: log_beta_norm + (p1 - q) * _log_det(u) + (p2 - q) * _log_det(e - u), "D"
+    density = wishart._log_density_batch
+    a = _Kernel(lambda alg, x: density(params1, x))
+    b = _Kernel(lambda alg, y: density(params2, y))
+    c = _Kernel(lambda alg, v: density(params_v, v) - q * _log_det_batch(alg, v))
+    d = _Kernel(
+        lambda alg, u: log_beta_norm
+        + (p1 - q) * _log_det_batch(alg, u)
+        + (p2 - q) * _log_det_batch(alg, _unit_coords(alg) - u)
     )
-    return a, b, c, d
+    return ScalarField(a, "V"), ScalarField(b, "V"), ScalarField(c, "V"), ScalarField(d, "D")
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +174,7 @@ class ResidualReport:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "algebra": self.algebra,
-            "n_pairs": self.n_pairs,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -172,24 +192,29 @@ def _report(equation, algebra, residuals, seed=None) -> ResidualReport:
     )
 
 
+def _stack(tuples, what: str):
+    """The algebra and one (N, dim) coordinate array per tuple position."""
+    tuples = list(tuples)
+    if not tuples:
+        raise ValueError(f"empty {what} list")
+    algebra = tuples[0][0].algebra
+    if any(p.algebra != algebra for t in tuples for p in t):
+        raise AlgebraMismatch(f"{what} list mixes algebras")
+    return algebra, [np.stack(column) for column in zip(*((p.coords for p in t) for t in tuples))]
+
+
 def olkin_baker_residual(
     a: ScalarField, b: ScalarField, c: ScalarField, d: ScalarField, pairs, seed=None
 ) -> ResidualReport:
     """max/mean of |a(x) + b(y) - c(x+y) - d(u)| over cone pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty pair list")
-    algebra = pairs[0][0].algebra
-    # one batched split for all pairs; the field evaluations stay scalar
     from .harness import split_batch
 
-    x_coords = np.stack([x.coords for x, _ in pairs])
-    y_coords = np.stack([y.coords for _, y in pairs])
-    _, u_coords, _ = split_batch(algebra, x_coords, y_coords)
-    residuals = []
-    for (x, y), u_row in zip(pairs, u_coords):
-        u = Element(algebra, u_row)
-        residuals.append(abs(a(x) + b(y) - c(x + y) - d(u)))
+    algebra, (x, y) = _stack(pairs, "pair")
+    v, u, _ = split_batch(algebra, x, y)
+    residuals = np.abs(
+        _evaluate(a, algebra, x) + _evaluate(b, algebra, y)
+        - _evaluate(c, algebra, v) - _evaluate(d, algebra, u)
+    )
     return _report("olkin-baker", algebra, residuals, seed)
 
 
@@ -200,49 +225,45 @@ def log_quadratic_residual(c: ScalarField, pairs, seed=None):
 
     Returns a pair of reports (product form, conjugation form).
     """
-    res_product = []
-    res_conjugation = []
-    algebra = None
-    for x, y in pairs:
-        algebra = x.algebra
-        res_product.append(abs(c(quadratic_action(y, x)) - c(x) - 2.0 * c(y)))
-        res_conjugation.append(
-            abs(c(x) - c(quadratic_action(inv_sqrt_in_cone(y), x)) - c(y))
-        )
-    if algebra is None:
-        raise ValueError("empty pair list")
+    algebra, (x, y) = _stack(pairs, "pair")
+    conjugated = quadratic_action_batch(algebra, _inv_sqrt_batch(algebra, y), x)
+    points = np.concatenate([x, y, quadratic_action_batch(algebra, y, x), conjugated])
+    cx, cy, c_product, c_conjugated = np.split(_evaluate(c, algebra, points), 4)
     return (
-        _report("log-quadratic", algebra, res_product, seed),
-        _report("log-quadratic-conjugation", algebra, res_conjugation, seed),
+        _report("log-quadratic", algebra, np.abs(c_product - cx - 2.0 * cy), seed),
+        _report("log-quadratic-conjugation", algebra, np.abs(cx - c_conjugated - cy), seed),
     )
 
 
 def homogeneity_defect(f: ScalarField, scales, points) -> float:
     """max |f(s x) - f(x)|; zero exactly for zero-order homogeneous fields."""
-    worst = 0.0
-    for x in points:
-        base = f(x)
-        for s in scales:
-            if s <= 0.0:
-                raise ValueError("scales must be positive")
-            worst = max(worst, abs(f(float(s) * x) - base))
-    return worst
+    scales = [float(s) for s in scales]
+    if any(s <= 0.0 for s in scales):
+        raise ValueError("scales must be positive")
+    points = list(points)
+    if not points:
+        return 0.0
+    x = np.stack([p.coords for p in points])
+    values = _evaluate(f, points[0].algebra, np.concatenate([x] + [s * x for s in scales]))
+    values = values.reshape(len(scales) + 1, len(x))
+    return float(np.abs(values[1:] - values[0]).max(initial=0.0))
 
 
 def cocycle_residual(C: Callable[[Element, Element], float], triples, seed=None) -> ResidualReport:
     """Residual of C(x+y, z) + C(x, y) = C(x, y+z) + C(y, z)."""
-    residuals = []
-    algebra = None
-    for x, y, z in triples:
-        algebra = x.algebra
-        residuals.append(abs(C(x + y, z) + C(x, y) - C(x, y + z) - C(y, z)))
-    if algebra is None:
-        raise ValueError("empty triple list")
-    return _report("cocycle", algebra, residuals, seed)
+    algebra, (x, y, z) = _stack(triples, "triple")
+    first = np.concatenate([x + y, x, x, y])
+    second = np.concatenate([z, y, y + z, z])
+    c_xy_z, c_x_y, c_x_yz, c_y_z = np.split(_evaluate(C, algebra, first, second), 4)
+    return _report("cocycle", algebra, np.abs(c_xy_z + c_x_y - c_x_yz - c_y_z), seed)
 
 
 def cauchy_difference(c: ScalarField) -> Callable[[Element, Element], float]:
-    return lambda x, y: -c(x + y) + c(x) + c(y)
+    def batch(alg, x, y):
+        c_sum, c_x, c_y = np.split(_evaluate(c, alg, np.concatenate([x + y, x, y])), 3)
+        return -c_sum + c_x + c_y
+
+    return _Kernel(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +298,13 @@ def pexider_fit(samples) -> PexiderFit:
     When k is constant the recovery collapses to the constant solution
     l = k - c, n = c with lam = 0.
     """
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     algebra = None
     for x, y, k_val, l_val, n_val in samples:
         algebra = x.algebra
-        dim = algebra.dim
-        rows.append(np.concatenate([(x + y).coords, [1.0, 1.0]]))
-        rhs.append(k_val)
-        rows.append(np.concatenate([x.coords, [1.0, 0.0]]))
-        rhs.append(l_val)
-        rows.append(np.concatenate([y.coords, [0.0, 1.0]]))
-        rhs.append(n_val)
+        rows += [np.append((x + y).coords, [1.0, 1.0]), np.append(x.coords, [1.0, 0.0]),
+                 np.append(y.coords, [0.0, 1.0])]
+        rhs += [k_val, l_val, n_val]
     if algebra is None:
         raise ValueError("empty sample list")
     solution, residual = _least_squares(rows, rhs, algebra.dim + 2, "sample set")
@@ -303,19 +319,10 @@ def pexider_fit(samples) -> PexiderFit:
 def generate_pexider_samples(algebra, lam: Element, b: float, c: float, count: int, seed: int):
     """Noiseless (x, y, k, l, n) tuples from a known additive-plus-constant
     triple, for recovery tests."""
-    pairs = sample_cone_pairs(algebra, count, seed)
-    out = []
-    for x, y in pairs:
-        out.append(
-            (
-                x,
-                y,
-                inner(lam, x + y) + b + c,
-                inner(lam, x) + b,
-                inner(lam, y) + c,
-            )
-        )
-    return out
+    return [
+        (x, y, inner(lam, x + y) + b + c, inner(lam, x) + b, inner(lam, y) + c)
+        for x, y in sample_cone_pairs(algebra, count, seed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +332,23 @@ def generate_pexider_samples(algebra, lam: Element, b: float, c: float, count: i
 def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: float = 1e-6):
     """Standard Wishart draws filtered to a strict relative cone margin, so
     log det evaluations stay far from the boundary blow-up."""
-    p0 = _default_pair_shape(algebra)
-    params = WishartParams.isotropic(algebra, p0)
-    points: list[Element] = []
-    chunk = max(count, 64)
-    attempt = 0
-    while len(points) < count:
+    # a shape comfortably above the density threshold, so log det stays tame
+    params = WishartParams.isotropic(algebra, algebra.dim / algebra.rank + 1.0)
+    rows: list[np.ndarray] = []
+    for attempt in range(65):
         batch = wishart.sample(
-            params, chunk, seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
+            params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
         )
         keep = batch.min_eigenvalues > margin * traces_batch(algebra, batch.coords)
-        for row in batch.coords[keep]:
-            points.append(Element(algebra, row))
-            if len(points) == count:
-                break
-        attempt += 1
-        if attempt > 64:
-            raise RuntimeError("cone-margin filtering rejected too many draws")
-    return points
+        rows.extend(batch.coords[keep])
+        if len(rows) >= count:
+            return [Element(algebra, row) for row in rows[:count]]
+    raise RuntimeError("cone-margin filtering rejected too many draws")
 
 
 def sample_cone_pairs(algebra, count: int, seed: int, margin: float = 1e-6):
-    xs = sample_cone_points(algebra, count, seed, stream=0, margin=margin)
-    ys = sample_cone_points(algebra, count, seed, stream=1, margin=margin)
-    return list(zip(xs, ys))
+    return list(zip(*(sample_cone_points(algebra, count, seed, k, margin) for k in range(2))))
 
 
 def sample_cone_triples(algebra, count: int, seed: int, margin: float = 1e-6):
-    xs = sample_cone_points(algebra, count, seed, stream=0, margin=margin)
-    ys = sample_cone_points(algebra, count, seed, stream=1, margin=margin)
-    zs = sample_cone_points(algebra, count, seed, stream=2, margin=margin)
-    return list(zip(xs, ys, zs))
+    return list(zip(*(sample_cone_points(algebra, count, seed, k, margin) for k in range(3))))

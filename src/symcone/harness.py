@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .algebra import (
     Element,
     _in_open_cone,
     _log_det,
+    _log_det_batch,
     _Spectrum,
     eigvals_batch,
     eigenvalues,
@@ -114,24 +115,8 @@ class IndependenceReport:
     domain_check: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "algebra": self.algebra,
-            "p1": self.p1,
-            "p2": self.p2,
-            "scale": self.scale,
-            "n": self.n_samples,
-            "n_stat": self.n_stat,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-            "level": self.level,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "decision": self.decision,
-            "resampled": self.resampled,
-            "mean_check": self.mean_check,
-            "domain_check": self.domain_check,
-        }
+        # the published document names the sample count "n"
+        return {("n" if k == "n_samples" else k): v for k, v in asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -361,18 +346,7 @@ class FactorizationReport:
         return abs(self.k - self.expected_k)
 
     def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "p": self.p,
-            "lambda": self.lambda_coords,
-            "k": self.k,
-            "log_constant": self.log_constant,
-            "expected_lambda": self.expected_lambda,
-            "expected_k": self.expected_k,
-            "expected_log_constant": self.expected_log_constant,
-            "max_residual": self.max_residual,
-            "n_grid": self.n_grid,
-        }
+        return {("lambda" if k == "lambda_coords" else k): v for k, v in asdict(self).items()}
 
 
 def density_factorization_check(
@@ -382,15 +356,12 @@ def density_factorization_check(
     open cone and compare with the closed-form parameters."""
     alg = a.algebra
     params = WishartParams(alg, p, a)
-    rows = []
-    rhs = []
-    for y in grid:
-        value = wishart.log_density(params, y)
-        if not math.isfinite(value):
-            raise ValueError("grid points must lie in the open cone")
-        rows.append(np.concatenate([y.coords, [_log_det(y), 1.0]]))
-        rhs.append(value)
-    solution, residual = _least_squares(rows, rhs, alg.dim + 2, "grid")
+    coords = np.stack([y.coords for y in grid])
+    values = wishart._log_density_batch(params, coords)
+    if not np.isfinite(values).all():
+        raise ValueError("grid points must lie in the open cone")
+    rows = np.column_stack([coords, _log_det_batch(alg, coords), np.ones(len(coords))])
+    solution, residual = _least_squares(rows, values, alg.dim + 2, "grid")
     q = alg.dim / alg.rank
     expected_c = p * _log_det(a.element) - wishart.log_multivariate_gamma(alg, p)
     return FactorizationReport(

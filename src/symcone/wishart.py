@@ -123,20 +123,25 @@ class WishartParams:
         return cls(algebra, p, ConeElement.certify(scale * unit(algebra)))
 
 
+def _log_density_batch(params: WishartParams, coords: np.ndarray) -> np.ndarray:
+    """Log density at each row of a (N, dim) batch; -inf off the open cone."""
+    alg = params.algebra
+    eigs = eigvals_batch(alg, coords)
+    inside = _in_open_cone(eigs)
+    q = alg.dim / alg.rank
+    values = (
+        params._log_norm
+        + (params.p - q) * _log_det(np.where(inside[:, None], eigs, 1.0))
+        - coords @ params.a.coords
+    )
+    return np.where(inside, values, -np.inf)
+
+
 def log_density(params: WishartParams, y: Element) -> float:
     """Log density at y; -inf off the open cone (the support indicator)."""
     if y.algebra != params.algebra:
         raise ValueError("evaluation point belongs to a different algebra")
-    alg = params.algebra
-    w = eigenvalues(y)
-    if not _in_open_cone(w):
-        return float("-inf")
-    q = alg.dim / alg.rank
-    return (
-        params._log_norm
-        + (params.p - q) * _log_det(w)
-        - inner(params.a.element, y)
-    )
+    return float(_log_density_batch(params, y.coords[None])[0])
 
 
 def laplace_transform(params: WishartParams, t: Element) -> float:

@@ -292,7 +292,6 @@ def test_criterion_08_negative_control():
     _report(8, ok, f"rejections {summary.rejections}/20 with scales e vs 3e")
 
 
-@pytest.mark.slow
 def test_criterion_09_olkin_baker_residuals():
     rng = np.random.default_rng(109)
     pairs = sample_cone_pairs(SYM3, 10000, seed=2025)

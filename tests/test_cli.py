@@ -85,6 +85,14 @@ def test_parse_valid_sample_command():
             ["verify-negative", "--algebra", "symr:2", "--n", "999"], "got 999",
             id="verify-n-999",
         ),
+        pytest.param(
+            ["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "5",
+             "--max-stat-samples", "0"], "got 0", id="max-stat-samples-0",
+        ),
+        pytest.param(
+            ["verify-negative", "--algebra", "symr:2", "--max-stat-samples", "1"], "got 1",
+            id="max-stat-samples-1",
+        ),
     ],
 )
 def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):
@@ -261,6 +269,20 @@ def test_malformed_element_file_is_runtime_error(text, named, capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert str(bad) in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"a": 1}', '"2.0"', "[1.0, \"x\"]", "[[1.0]]", "[2.0", ""],
+    ids=["object", "string", "mixed-list", "nested-list", "truncated-json", "empty"],
+)
+def test_malformed_inline_point_is_runtime_error(text, capsys):
+    code, out, err = run_cli(
+        ["density", "--algebra", "symr:1", "--p", "1", "--point", text], capsys
+    )
+    assert code == 1 and out == ""
+    assert "--point" in err and repr(text) in err
     assert "Traceback" not in err
 
 

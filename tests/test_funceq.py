@@ -4,15 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from symcone.algebra import Algebra, Element, eigenvalues, inner, trace, unit
+from _utils import rel_err
+from symcone import eigh
+from symcone.algebra import Algebra, Element, _log_det, eigenvalues, inner, trace, unit
+from symcone.errors import AlgebraMismatch
 from symcone.funceq import (
     ResidualReport,
     ScalarField,
     SolutionFamily,
+    _evaluate,
     cauchy_difference,
     cocycle_residual,
     generate_pexider_samples,
     homogeneity_defect,
+    linear_field,
     log_det_field,
     log_quadratic_residual,
     make_regular_solution,
@@ -26,7 +31,7 @@ from symcone.funceq import (
     with_injected_defect,
 )
 from symcone.geometry import ConeElement
-from symcone.harness import split
+from symcone.harness import split, split_batch
 
 SYM1 = Algebra.sym_real(1)
 SYM2 = Algebra.sym_real(2)
@@ -276,6 +281,101 @@ def test_sweep_samplers_are_deterministic():
     )
 
 
+# ---------------------------------------------------------------------------
+# batch-first evaluation
+# ---------------------------------------------------------------------------
+
+def test_scalar_fields_agree_with_their_batch_rows(algebra):
+    pairs = sample_cone_pairs(algebra, 20, seed=31)
+    x = np.stack([p.coords for p, _ in pairs])
+    y = np.stack([q.coords for _, q in pairs])
+    _, u, _ = split_batch(algebra, x, y)
+    lam = Element(algebra, np.linspace(-1.0, 1.0, algebra.dim))
+    fam = SolutionFamily(lam=lam, c1=0.7, c2=-1.3, kappa=0.4)
+    fields = [
+        log_det_field(0.8), trace_field(2.0), linear_field(lam),
+        with_injected_defect(log_det_field(), 0.1),
+        *make_regular_solution(fam),
+        *wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(algebra))),
+    ]
+    for f in fields:
+        rows = u if f.domain == "D" else x
+        batch = _evaluate(f, algebra, rows)
+        scalar = [f(Element(algebra, row)) for row in rows]
+        assert rel_err(scalar, batch) < 1e-12
+    C = cauchy_difference(log_det_field())
+    batch = _evaluate(C, algebra, x, y)
+    scalar = [C(p, q) for p, q in pairs]
+    assert rel_err(scalar, batch) < 1e-12
+
+
+def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
+    fam = SolutionFamily(lam=0.3 * unit(SYM3), c1=-0.7, c2=1.9, kappa=2.5)
+    dictionary = wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(SYM3)))
+    sweeps = {
+        "olkin-baker": lambda pairs, triples: olkin_baker_residual(
+            *make_regular_solution(fam), pairs
+        ),
+        "olkin-baker-wishart": lambda pairs, triples: olkin_baker_residual(*dictionary, pairs),
+        "log-quadratic": lambda pairs, triples: log_quadratic_residual(log_det_field(), pairs),
+        "cocycle": lambda pairs, triples: cocycle_residual(
+            cauchy_difference(log_det_field()), triples
+        ),
+        "homogeneity": lambda pairs, triples: homogeneity_defect(
+            log_det_field(), [0.5, 2.0], [x for x, _ in pairs]
+        ),
+    }
+    inputs = {
+        n: (sample_cone_pairs(SYM3, n, seed=41), sample_cone_triples(SYM3, n, seed=42))
+        for n in (10, 200)
+    }
+    calls = []
+    original = eigh.jacobi_eigh_batch
+
+    def counting(mats, *args, **kwargs):
+        calls.append(np.shape(mats))
+        return original(mats, *args, **kwargs)
+
+    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting)
+    for name, sweep in sweeps.items():
+        counts = []
+        for n in (10, 200):
+            calls.clear()
+            sweep(*inputs[n])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, name
+
+
+def test_user_fields_and_maps_take_the_row_loop(sym3_pairs):
+    pairs = sym3_pairs[:30]
+    fam = SolutionFamily(lam=0.4 * unit(SYM3), c1=1.3, c2=-0.5, kappa=1.0)
+    a, b, c, d = make_regular_solution(fam)
+    user = [ScalarField(lambda x, f=f: f(x), f.domain) for f in (a, b, c, d)]
+    assert olkin_baker_residual(*user, pairs).max_residual < 1e-10
+
+    # a user predicate on a built-in field, and a user field with the default one
+    def corner(u):
+        return u.coords[0] > 0.5
+
+    hits = [corner(split(x, y).u) for x, y in pairs]
+    assert 0 < sum(hits) < len(hits)
+    defect = olkin_baker_residual(a, b, c, with_injected_defect(d, 0.5, corner), pairs)
+    assert defect.max_residual == pytest.approx(0.5, abs=1e-9)
+    assert defect.mean_residual == pytest.approx(0.5 * sum(hits) / len(hits), abs=1e-9)
+    shifted = with_injected_defect(ScalarField(lambda x: 1.0), 0.25)
+    assert shifted(unit(SYM3)) == 1.25 and shifted(0.1 * unit(SYM3)) == 1.0
+    triples = sample_cone_triples(SYM3, 20, seed=43)
+    plain = cocycle_residual(lambda x, y: -_log_det(x + y) + _log_det(x) + _log_det(y), triples)
+    assert plain.max_residual < 1e-10
+
+
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         olkin_baker_residual(*make_regular_solution(FAMILIES[0]), [])
+
+
+def test_mixed_algebras_rejected():
+    # symr:2 and lorentz:2 share dim 3, so only the algebra tags differ
+    pairs = [(unit(SYM2), unit(Algebra.lorentz(2)))]
+    with pytest.raises(AlgebraMismatch):
+        log_quadratic_residual(log_det_field(), pairs)
