@@ -275,16 +275,6 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
 
 
-def _embed_hermitian(mats: np.ndarray) -> np.ndarray:
-    """Represent Hermitian H = A + iB as the real symmetric [[A, -B], [B, A]].
-
-    The map is an algebra homomorphism, so spectra are doubled and spectral
-    functions commute with it.
-    """
-    a, b = mats.real, mats.imag
-    return np.block([[a, -b], [b, a]])
-
-
 # ---------------------------------------------------------------------------
 # batch spectral kernels (shared by the samplers and the split transform)
 # ---------------------------------------------------------------------------
@@ -316,14 +306,7 @@ class _Spectrum:
             self.eigs = np.stack([c[:, 0] - self._nrm, c[:, 0] + self._nrm], axis=1)
             return
         mats = coords_to_mats(algebra, c)
-        if algebra.kind is AlgebraKind.HERM_COMPLEX:
-            mats = _embed_hermitian(mats)
-        self._w, self._v = eigh.jacobi_eigh_batch(mats, compute_vectors=vectors)
-        if algebra.kind is AlgebraKind.SYM_REAL:
-            self.eigs = self._w
-        else:
-            # the embedding doubles every eigenvalue; adjacent sorted pairs collapse
-            self.eigs = (self._w[:, 0::2] + self._w[:, 1::2]) / 2.0
+        self.eigs, self._v = eigh.jacobi_eigh_batch(mats, compute_vectors=vectors)
 
     def map(self, fn) -> np.ndarray:
         """Coordinates of ``fn`` applied to each row's spectrum; the caller
@@ -338,13 +321,8 @@ class _Spectrum:
             return out
         if self._v is None:
             raise ValueError("spectrum was computed without eigenvectors")
-        big = np.einsum("nij,nj,nkj->nik", self._v, fn(self._w), self._v)
-        if alg.kind is AlgebraKind.SYM_REAL:
-            return mats_to_coords(alg, _hermitian_part(big))
-        r = alg.param
-        re = (big[:, :r, :r] + big[:, r:, r:]) / 2.0
-        im = (big[:, r:, :r] - big[:, :r, r:]) / 2.0
-        return mats_to_coords(alg, _hermitian_part(re + 1j * im))
+        mats = np.einsum("nij,nj,nkj->nik", self._v, fn(self.eigs), self._v.conj())
+        return mats_to_coords(alg, _hermitian_part(mats))
 
 
 def eigvals_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:

@@ -34,6 +34,15 @@ SCHEMAS = {
     "algebra-info": "algebra_info.schema.json",
 }
 
+# the --field candidates of the single-field equations
+_FIELDS = {
+    "logdet": funceq.log_det_field,
+    "trace": funceq.trace_field,
+    "det-over-trace": lambda: funceq.ScalarField(funceq._Kernel(
+        lambda alg, x: _log_det_batch(alg, x) - alg.rank * np.log(traces_batch(alg, x))
+    )),
+}
+
 
 def schema_text(subcommand: str) -> str:
     """The published JSON schema for a subcommand's stdout document."""
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", default="l=0,c1=1,c2=1,k=0",
                    help="solution family 'l=L,c1=A,c2=B,k=K' with lambda = L * e")
-    p.add_argument("--field", choices=["logdet", "trace", "det-over-trace"],
+    p.add_argument("--field", choices=list(_FIELDS),
                    default="logdet", help="candidate field for the single-field equations")
     p.add_argument("--p1", type=float, default=3.0)
     p.add_argument("--p2", type=float, default=3.0)
@@ -239,10 +248,16 @@ def _family_from_string(text: str, algebra: Algebra) -> funceq.SolutionFamily:
     fields = {}
     for token in text.split(","):
         key, _, value = token.partition("=")
-        fields[key.strip()] = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValueError(f"--family needs finite key=value numbers, got {token!r} in {text!r}")
+        fields[key.strip()] = number
     missing = {"l", "c1", "c2", "k"} - set(fields)
     if missing:
-        raise ValueError(f"family string misses keys: {sorted(missing)}")
+        raise ValueError(f"--family misses keys: {sorted(missing)}")
     return funceq.SolutionFamily(
         lam=fields["l"] * unit(algebra), c1=fields["c1"], c2=fields["c2"], kappa=fields["k"]
     )
@@ -337,7 +352,7 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
         report = funceq.olkin_baker_residual(*fields, pairs, seed=ns.seed)
         report.equation = "olkin-baker-wishart"
     elif ns.equation == "log-quadratic":
-        c = funceq.log_det_field() if ns.field == "logdet" else funceq.trace_field()
+        c = _FIELDS[ns.field]()
         pairs = funceq.sample_cone_pairs(algebra, ns.n_pairs, ns.seed)
         product_form, conjugation_form = funceq.log_quadratic_residual(c, pairs, seed=ns.seed)
         report = summary(
@@ -345,21 +360,12 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
             (product_form.mean_residual + conjugation_form.mean_residual) / 2.0,
         )
     elif ns.equation == "cocycle":
-        c = funceq.log_det_field() if ns.field == "logdet" else funceq.trace_field()
+        c = _FIELDS[ns.field]()
         triples = funceq.sample_cone_triples(algebra, ns.n_pairs, ns.seed)
         report = funceq.cocycle_residual(funceq.cauchy_difference(c), triples, seed=ns.seed)
     elif ns.equation == "homogeneity":
-        if ns.field == "det-over-trace":
-            r = algebra.rank
-            field = funceq.ScalarField(funceq._Kernel(
-                lambda alg, x: _log_det_batch(alg, x) - r * np.log(traces_batch(alg, x))
-            ))
-        elif ns.field == "trace":
-            field = funceq.trace_field()
-        else:
-            field = funceq.log_det_field()
         points = funceq.sample_cone_points(algebra, ns.n_pairs, ns.seed)
-        defect = funceq.homogeneity_defect(field, [0.5, 2.0, 3.7], points)
+        defect = funceq.homogeneity_defect(_FIELDS[ns.field](), [0.5, 2.0, 3.7], points)
         report = summary(defect, defect)
     else:  # pexider
         family = _family_from_string(ns.family, algebra)

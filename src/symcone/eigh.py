@@ -1,10 +1,11 @@
-"""Cyclic-Jacobi eigendecomposition for small dense symmetric matrices.
+"""Cyclic-Jacobi eigendecomposition for small dense Hermitian matrices.
 
 The cone predicates and samplers need spectra that are reproducible bit for
 bit across platforms and thread counts, so this module sticks to plain numpy
 arithmetic with a fixed sweep order; LAPACK is never called.  Matrices here
 are tiny (rank at most 8, operator size at most a few dozen), where Jacobi is
-both accurate and fast enough.
+both accurate and fast enough.  Real symmetric and complex Hermitian input
+take the same rotation, with a complex pivot's phase carried in its sine.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ OFF_DIAG_TOL = 1e-15
 def _max_offdiag(b: np.ndarray) -> np.ndarray:
     n = b.shape[-1]
     mask = ~np.eye(n, dtype=bool)
-    return np.abs(b[:, mask]).max(axis=1)
+    return np.abs(b[:, mask]).max(axis=1, initial=0.0)
 
 
 def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
@@ -28,10 +29,14 @@ def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
     active = apq != 0.0
     if not active.any():
         return
-    app = b[:, p, p]
-    aqq = b[:, q, q]
+    # a complex pivot |a_pq| w turns as the real |a_pq|, with w carried in s
+    # (Golub & Van Loan 8.5); a real pivot keeps its sign and has no phase
+    is_complex = np.iscomplexobj(b)
+    mag = np.abs(apq) if is_complex else apq
+    app = b[:, p, p].real
+    aqq = b[:, q, q].real
     with np.errstate(over="ignore"):
-        theta = np.where(active, (aqq - app) / np.where(active, 2.0 * apq, 1.0), 0.0)
+        theta = np.where(active, (aqq - app) / np.where(active, 2.0 * mag, 1.0), 0.0)
     # |theta| beyond ~1e150 would overflow theta^2 and means the pivot is
     # already negligible; the clamp keeps t ~ 0 (no-op rotation) there
     theta = np.clip(theta, -1e150, 1e150)
@@ -42,25 +47,32 @@ def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
     t = np.where(active, t, 0.0)
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
+    if is_complex:
+        s = s * (apq / np.where(active, mag, 1.0))
+        diag = (app - t * mag, aqq + t * mag)  # exactly real, trace-preserving
+    # b <- U^H b U, U = [[c, s], [-conj(s), c]]; a real s is its own conj()
     cc = c[:, None]
     ss = s[:, None]
+    sh = ss.conj()
 
     bp = b[:, p, :].copy()
     bq = b[:, q, :].copy()
     b[:, p, :] = cc * bp - ss * bq
-    b[:, q, :] = ss * bp + cc * bq
+    b[:, q, :] = sh * bp + cc * bq
     bp = b[:, :, p].copy()
     bq = b[:, :, q].copy()
-    b[:, :, p] = cc * bp - ss * bq
+    b[:, :, p] = cc * bp - sh * bq
     b[:, :, q] = ss * bp + cc * bq
     zeroed = np.where(active, 0.0, b[:, p, q])
     b[:, p, q] = zeroed
-    b[:, q, p] = zeroed
+    b[:, q, p] = zeroed.conj()
+    if is_complex:
+        b[:, p, p], b[:, q, q] = diag
 
     if v is not None:
         vp = v[:, :, p].copy()
         vq = v[:, :, q].copy()
-        v[:, :, p] = cc * vp - ss * vq
+        v[:, :, p] = cc * vp - sh * vq
         v[:, :, q] = ss * vp + cc * vq
 
 
@@ -69,28 +81,27 @@ def jacobi_eigh_batch(
     compute_vectors: bool = True,
     max_sweeps: int = MAX_SWEEPS,
 ):
-    """Diagonalize a stack of real symmetric matrices by cyclic Jacobi sweeps.
+    """Diagonalize a stack of real symmetric or complex Hermitian matrices by
+    cyclic Jacobi sweeps.
 
     Parameters
     ----------
-    mats : (N, n, n) array_like, each matrix symmetric.
+    mats : (N, n, n) array_like, each matrix symmetric, or Hermitian if complex.
     compute_vectors : accumulate eigenvector matrices as well.
 
-    Returns ``(w, v)`` where ``w`` is (N, n) with eigenvalues in ascending
-    order and ``v`` is (N, n, n) with matching orthonormal columns (``None``
+    Returns ``(w, v)`` where ``w`` is real (N, n) with eigenvalues in ascending
+    order and ``v`` is (N, n, n), real or complex as the input, with matching
+    orthonormal columns: ``v diag(w) v^H`` rebuilds the input (``None``
     when ``compute_vectors`` is false).  Raises JacobiConvergenceError with a
     diagnostic if any matrix fails to reach the off-diagonal tolerance.
     """
-    b = np.array(mats, dtype=float)
+    b = np.array(mats, dtype=complex if np.iscomplexobj(mats) else float)
     if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"expected a (N, n, n) stack, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("non-finite entries in eigensolver input")
     n_mats, n, _ = b.shape
-    v = np.tile(np.eye(n), (n_mats, 1, 1)) if compute_vectors else None
-    if n == 1 or n_mats == 0:
-        w = b[:, 0, 0].copy() if n_mats else np.zeros((0, n))
-        return (w.reshape(n_mats, n) if n == 1 else w), v
+    v = np.tile(np.eye(n, dtype=b.dtype), (n_mats, 1, 1)) if compute_vectors else None
 
     scale = np.abs(b).max(axis=(1, 2))
     threshold = np.maximum(scale, np.finfo(float).tiny) * OFF_DIAG_TOL
@@ -109,7 +120,7 @@ def jacobi_eigh_batch(
             f"max relative off-diagonal {rel:.3e}"
         )
 
-    w = np.diagonal(b, axis1=1, axis2=2).copy()
+    w = np.diagonal(b, axis1=1, axis2=2).real.copy()
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     if compute_vectors:
@@ -119,7 +130,7 @@ def jacobi_eigh_batch(
 
 def jacobi_eigh(mat, compute_vectors: bool = True, max_sweeps: int = MAX_SWEEPS):
     """Single-matrix wrapper around :func:`jacobi_eigh_batch`."""
-    m = np.asarray(mat, dtype=float)
+    m = np.asarray(mat)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     w, v = jacobi_eigh_batch(m[None], compute_vectors=compute_vectors, max_sweeps=max_sweeps)

@@ -84,8 +84,16 @@ def log_multivariate_gamma(algebra: Algebra, p: float) -> float:
     return value
 
 
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value); OverflowError, quoting the log value, past a float's range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"{what} overflows: log value {log_value:.6g}") from None
+
+
 def multivariate_gamma(algebra: Algebra, p: float) -> float:
-    return math.exp(log_multivariate_gamma(algebra, p))
+    return _exp(log_multivariate_gamma(algebra, p), "multivariate gamma")
 
 
 def mean_scale_factor(algebra: Algebra) -> float:
@@ -154,11 +162,7 @@ def laplace_transform(params: WishartParams, t: Element) -> float:
     arg = unit(alg) + quadratic_action(w_half, t)
     eigs = eigenvalues(arg)
     _require_open_cone(eigs, "e + P(a^(-1/2)) t left the open cone", 0.0, OutOfRegion)
-    log_value = -params.p * _log_det(eigs)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OverflowError(f"Laplace transform overflows: log value {log_value:.6g}") from None
+    return _exp(-params.p * _log_det(eigs), "Laplace transform")
 
 
 def mean(params: WishartParams) -> Element:

@@ -286,6 +286,35 @@ def test_malformed_inline_point_is_runtime_error(text, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "family,token",
+    [("l=0,c1=inf,c2=1,k=0", "c1=inf"), ("l=0,c1,c2=1,k=0", "c1")],
+    ids=["non-finite", "no-value"],
+)
+def test_malformed_family_is_runtime_error(family, token, capsys):
+    code, out, err = run_cli(
+        ["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
+         "--family", family, "--n-pairs", "20"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "--family" in err and repr(token) in err and len(err.splitlines()) == 1
+    assert "NaN" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("equation", ["cocycle", "log-quadratic"])
+def test_check_funceq_field_choice_reaches_every_equation(equation, capsys):
+    reports = {
+        field: run_cli(
+            ["check-funceq", "--equation", equation, "--algebra", "symr:2",
+             "--field", field, "--n-pairs", "50"],
+            capsys,
+        )[1]
+        for field in ("trace", "det-over-trace")
+    }
+    assert reports["trace"] != reports["det-over-trace"]
+
+
 def test_check_funceq_exit_codes(capsys):
     code, out, _ = run_cli(
         ["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
@@ -360,17 +389,24 @@ def test_verify_negative_smoke(capsys):
 # ---------------------------------------------------------------------------
 
 def test_output_bytes_are_stable_across_runs_and_workers(capsys):
-    argv = ["sample", "--algebra", "symr:3", "--p", "4", "--n", "6000", "--seed", "123"]
-    _, out1, _ = run_cli(argv, capsys)
-    _, out2, _ = run_cli(argv, capsys)
-    _, out3, _ = run_cli(argv + ["--workers", "4"], capsys)
-    assert out1 == out2 == out3
+    # the real and the complex Hermitian rotation paths
+    for spec in ("symr:3", "hermc:3"):
+        argv = ["sample", "--algebra", spec, "--p", "4", "--n", "6000", "--seed", "123"]
+        _, out1, _ = run_cli(argv, capsys)
+        _, out2, _ = run_cli(argv, capsys)
+        _, out3, _ = run_cli(argv + ["--workers", "4"], capsys)
+        assert out1 == out2 == out3, spec
 
 
 def test_verify_output_bytes_stable(capsys):
-    argv = ["verify-lukacs", "--algebra", "symr:2", "--p1", "3", "--p2", "3",
-            "--n", "1000", "--seed", "5", "--permutations", "50",
-            "--max-stat-samples", "200"]
-    _, out1, _ = run_cli(argv, capsys)
-    _, out2, _ = run_cli(argv + ["--workers", "3"], capsys)
-    assert out1 == out2
+    for argv in (
+        ["verify-lukacs", "--algebra", "symr:2", "--p1", "3", "--p2", "3",
+         "--n", "1000", "--seed", "5", "--permutations", "50",
+         "--max-stat-samples", "200"],
+        ["verify-negative", "--algebra", "hermc:2", "--p1", "3", "--p2", "3",
+         "--n", "1000", "--seed", "5", "--permutations", "50",
+         "--max-stat-samples", "200", "--scale1", "1.0", "--scale2", "3.0"],
+    ):
+        _, out1, _ = run_cli(argv, capsys)
+        _, out2, _ = run_cli(argv + ["--workers", "3"], capsys)
+        assert out1 == out2, argv[:3]

@@ -7,37 +7,66 @@ from symcone.eigh import jacobi_eigh, jacobi_eigh_batch, jacobi_eigvals_batch
 from symcone.errors import JacobiConvergenceError
 
 
-def _random_symmetric(rng, n, count=1):
+# a test that loops over KINDS checks real symmetric input first, then
+# complex Hermitian input, which the same rotation diagonalises
+KINDS = (float, complex)
+
+
+def _random_symmetric(rng, n, count=1, kind=float):
     a = rng.standard_normal((count, n, n))
-    return (a + a.transpose(0, 2, 1)) / 2.0
+    if kind is complex:
+        a = a + 1j * rng.standard_normal((count, n, n))
+    return (a + a.transpose(0, 2, 1).conj()) / 2.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 15])
 def test_eigenvalues_match_lapack_oracle(rng, n):
-    mats = _random_symmetric(rng, n, count=40)
-    w = jacobi_eigvals_batch(mats)
-    expected = np.linalg.eigvalsh(mats)
-    np.testing.assert_allclose(w, expected, rtol=1e-11, atol=1e-11)
+    for kind in KINDS:
+        mats = _random_symmetric(rng, n, count=40, kind=kind)
+        w = jacobi_eigvals_batch(mats)
+        assert w.dtype == float
+        expected = np.linalg.eigvalsh(mats)
+        np.testing.assert_allclose(w, expected, rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_eigenvectors_reconstruct_input(rng, n):
-    mats = _random_symmetric(rng, n, count=25)
-    w, v = jacobi_eigh_batch(mats)
-    rebuilt = np.einsum("nij,nj,nkj->nik", v, w, v)
-    np.testing.assert_allclose(rebuilt, mats, atol=1e-12 * np.abs(mats).max())
-    gram = np.einsum("nji,njk->nik", v, v)
-    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(n), gram.shape), atol=1e-13)
+    for kind in KINDS:
+        mats = _random_symmetric(rng, n, count=25, kind=kind)
+        w, v = jacobi_eigh_batch(mats)
+        assert v.dtype == kind
+        rebuilt = np.einsum("nij,nj,nkj->nik", v, w, v.conj())
+        np.testing.assert_allclose(rebuilt, mats, atol=1e-12 * np.abs(mats).max())
+        gram = np.einsum("nji,njk->nik", v.conj(), v)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(n), gram.shape), atol=1e-13)
+
+
+def test_real_pivot_keeps_its_sign():
+    # equal diagonal and a negative pivot: theta = 0, and the rotation turns
+    # by +pi/4 from the signed pivot (a phase -1 would turn it the other way)
+    w, v = jacobi_eigh(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+    np.testing.assert_allclose(w, [-1.0, 3.0], rtol=1e-15)
+    h = 1.0 / np.sqrt(2.0)
+    np.testing.assert_array_equal(v, [[h, h], [h, -h]])
+
+
+def test_complex_pivot_rotates_its_phase():
+    # [[0, i], [-i, 0]] has eigenvalues -1, 1 with vectors (1, i) and (1, -i)
+    w, v = jacobi_eigh(np.array([[0.0, 1j], [-1j, 0.0]]))
+    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(v.conj().T @ np.array([[1, 1], [1j, -1j]])),
+                               np.sqrt(2.0) * np.eye(2), atol=1e-15)
 
 
 def test_diagonal_matrices_are_exact():
-    mats = np.array([np.diag([3.0, -1.0, 2.0]), np.diag([0.0, 0.0, 5.0])])
-    w, v = jacobi_eigh_batch(mats)
-    np.testing.assert_array_equal(
-        w, np.sort(np.array([[3.0, -1.0, 2.0], [0.0, 0.0, 5.0]]), axis=1)
-    )
-    # no rotations happen, so the vectors are signed permutations of the basis
-    assert set(np.abs(v).ravel()) == {0.0, 1.0}
+    for kind in KINDS:
+        mats = np.array([np.diag([3.0, -1.0, 2.0]), np.diag([0.0, 0.0, 5.0])], dtype=kind)
+        w, v = jacobi_eigh_batch(mats)
+        np.testing.assert_array_equal(
+            w, np.sort(np.array([[3.0, -1.0, 2.0], [0.0, 0.0, 5.0]]), axis=1)
+        )
+        # no rotations happen, so the vectors are signed permutations of the basis
+        assert set(np.abs(v).ravel()) == {0.0, 1.0}
 
 
 def test_zero_and_single_entry():
@@ -54,10 +83,11 @@ def test_single_matrix_wrapper(rng):
 
 
 def test_determinism(rng):
-    mats = _random_symmetric(rng, 4, count=10)
-    w1, v1 = jacobi_eigh_batch(mats)
-    w2, v2 = jacobi_eigh_batch(mats)
-    assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+    for kind in KINDS:
+        mats = _random_symmetric(rng, 4, count=10, kind=kind)
+        w1, v1 = jacobi_eigh_batch(mats)
+        w2, v2 = jacobi_eigh_batch(mats)
+        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
 def test_convergence_failure_is_loud(rng):
@@ -69,8 +99,9 @@ def test_convergence_failure_is_loud(rng):
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         jacobi_eigh_batch(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        jacobi_eigh_batch(np.full((1, 2, 2), np.nan))
+    for bad in (np.nan, np.inf, complex(1.0, np.nan), complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigh_batch(np.full((1, 2, 2), bad))
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,15 +109,17 @@ def test_rejects_bad_input():
     st.integers(min_value=2, max_value=6).flatmap(
         lambda n: st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=n * n,
-            max_size=n * n,
+            min_size=2 * n * n,
+            max_size=2 * n * n,
         )
     )
 )
 def test_reconstruction_property(flat):
-    n = int(np.sqrt(len(flat)))
-    raw = np.asarray(flat, dtype=float).reshape(n, n)
-    mat = (raw + raw.T) / 2.0
-    w, v = jacobi_eigh(mat)
-    scale = max(np.abs(mat).max(), 1.0)
-    assert np.abs((v * w) @ v.T - mat).max() <= 1e-12 * scale
+    # the first n*n floats are the real part, the rest the imaginary part
+    n = int(np.sqrt(len(flat) // 2))
+    parts = np.asarray(flat, dtype=float).reshape(2, n, n)
+    for raw in (parts[0], parts[0] + 1j * parts[1]):
+        mat = (raw + raw.T.conj()) / 2.0
+        w, v = jacobi_eigh(mat)
+        scale = max(np.abs(mat).max(), 1.0)
+        assert np.abs((v * w) @ v.T.conj() - mat).max() <= 1e-12 * scale

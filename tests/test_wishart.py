@@ -56,6 +56,12 @@ def test_gamma_pole_error():
         log_multivariate_gamma(SYM3, -1.0)
 
 
+def test_gamma_overflow_quotes_the_log_value():
+    log_value = log_multivariate_gamma(SYM3, 200.0)
+    with pytest.raises(OverflowError, match=f"log value {log_value:.6g}"):
+        multivariate_gamma(SYM3, 200.0)
+
+
 def test_gamma_strictly_positive():
     for p in (0.6, 1.0, 2.5, 7.0):
         assert multivariate_gamma(SYM2, p) > 0.0
