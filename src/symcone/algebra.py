@@ -330,11 +330,6 @@ def eigvals_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     return _Spectrum(algebra, coords).eigs
 
 
-def spectral_map_batch(algebra: Algebra, coords: np.ndarray, fn) -> np.ndarray:
-    """Apply ``fn`` to the spectrum of each row; the caller checks its domain."""
-    return _Spectrum(algebra, coords, vectors=True).map(fn)
-
-
 def quadratic_action_batch(algebra: Algebra, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """P(y) x on coordinates: the package's one quadratic-action kernel.
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every subcommand prints a JSON document on stdout (also valid for ``laplace``
-and ``density``, which print a bare JSON number) and logs to stderr.  Exit
-codes: 0 success / verification passed, 1 verification failed or runtime
+Every subcommand prints a strict JSON document on stdout (a bare number for
+``laplace`` and ``density``; never NaN or an infinity) and logs to stderr.
+Exit codes: 0 success / verification passed, 1 verification failed or runtime
 error, 2 usage error.  All randomness is a pure function of --seed, so output
 bytes are reproducible for a fixed argument vector at any worker count.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import io
 import json
 import math
 import sys
@@ -238,12 +239,6 @@ def _resolve_scale(ns, algebra: Algebra, suffix: str = "") -> ConeElement:
     return ConeElement.certify((1.0 if multiple is None else multiple) * unit(algebra))
 
 
-def _scalar_json(value: float) -> str:
-    if value == float("-inf"):
-        return '"-inf"'
-    return json.dumps(value)
-
-
 def _family_from_string(text: str, algebra: Algebra) -> funceq.SolutionFamily:
     fields = {}
     for token in text.split(","):
@@ -263,19 +258,17 @@ def _family_from_string(text: str, algebra: Algebra) -> funceq.SolutionFamily:
     )
 
 
-def _run_sample(ns, algebra) -> tuple[int, str]:
+def _run_sample(ns, algebra) -> tuple[int, object]:
     params = wishart.WishartParams(algebra, ns.p, _resolve_scale(ns, algebra))
     batch = wishart.sample(params, ns.n, ns.seed, stream=ns.stream, workers=ns.workers)
     if ns.format == "csv":
-        import io
-
         buf = io.StringIO()
         batch.write_csv(buf)
-        return 0, buf.getvalue().rstrip("\n")
-    return 0, json.dumps(batch.to_json_dict())
+        return 0, buf
+    return 0, batch.to_json_dict()
 
 
-def _run_density(ns, algebra) -> tuple[int, str]:
+def _run_density(ns, algebra) -> tuple[int, object]:
     params = wishart.WishartParams(algebra, ns.p, _resolve_scale(ns, algebra))
     if ns.point_file:
         point = _load_element(ns.point_file)
@@ -287,20 +280,21 @@ def _run_density(ns, algebra) -> tuple[int, str]:
         if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
             raise ValueError(f"--point must be a JSON list of numbers, got {ns.point!r}")
         point = Element(algebra, np.asarray(coords, dtype=float))
-    return 0, _scalar_json(wishart.log_density(params, point))
+    value = wishart.log_density(params, point)
+    return 0, ("-inf" if value == -math.inf else value)
 
 
-def _run_laplace(ns, algebra) -> tuple[int, str]:
+def _run_laplace(ns, algebra) -> tuple[int, object]:
     params = wishart.WishartParams(algebra, ns.p, _resolve_scale(ns, algebra))
     if ns.t_file:
         t = _load_element(ns.t_file)
     else:
         multiple = 0.0 if ns.t.strip() == "zero" else float(ns.t)
         t = multiple * unit(algebra)
-    return 0, _scalar_json(wishart.laplace_transform(params, t))
+    return 0, wishart.laplace_transform(params, t)
 
 
-def _run_split(ns, algebra) -> tuple[int, str]:
+def _run_split(ns, algebra) -> tuple[int, object]:
     x = _load_element(ns.x_file)
     y = _load_element(ns.y_file)
     if x.algebra != algebra or y.algebra != algebra:
@@ -311,19 +305,19 @@ def _run_split(ns, algebra) -> tuple[int, str]:
         "u": pair.u.to_json_dict(),
         "v_min_eigenvalue": pair.v.min_eigenvalue,
     }
-    return 0, json.dumps(doc)
+    return 0, doc
 
 
-def _run_verify_lukacs(ns, algebra) -> tuple[int, str]:
+def _run_verify_lukacs(ns, algebra) -> tuple[int, object]:
     report = harness.forward_experiment(
         ns.p1, ns.p2, _resolve_scale(ns, algebra), ns.n, ns.seed,
         level=ns.level, permutations=ns.permutations,
         max_stat_samples=ns.max_stat_samples, workers=ns.workers,
     )
-    return (0 if report.decision == "non-reject" else 1), report.to_json()
+    return (0 if report.decision == "non-reject" else 1), report.to_json_dict()
 
 
-def _run_verify_negative(ns, algebra) -> tuple[int, str]:
+def _run_verify_negative(ns, algebra) -> tuple[int, object]:
     report = harness.negative_experiment(
         ns.p1, ns.p2,
         _resolve_scale(ns, algebra, "1"), _resolve_scale(ns, algebra, "2"),
@@ -331,10 +325,10 @@ def _run_verify_negative(ns, algebra) -> tuple[int, str]:
         max_stat_samples=ns.max_stat_samples, workers=ns.workers,
     )
     # the expected outcome of the negative control is a rejection
-    return (0 if report.decision == "reject" else 1), report.to_json()
+    return (0 if report.decision == "reject" else 1), report.to_json_dict()
 
 
-def _run_check_funceq(ns, algebra) -> tuple[int, str]:
+def _run_check_funceq(ns, algebra) -> tuple[int, object]:
     def summary(max_residual: float, mean_residual: float) -> funceq.ResidualReport:
         return funceq.ResidualReport(
             ns.equation, algebra.spec_string(), ns.n_pairs, max_residual, mean_residual, ns.seed
@@ -379,10 +373,10 @@ def _run_check_funceq(ns, algebra) -> tuple[int, str]:
         )
         report = summary(recovery, fit.max_residual)
     code = 0 if report.max_residual <= ns.tol else 1
-    return code, report.to_json()
+    return code, report.to_json_dict()
 
 
-def _run_algebra_info(ns, algebra) -> tuple[int, str]:
+def _run_algebra_info(ns, algebra) -> tuple[int, object]:
     doc = {
         "algebra": algebra.spec_string(),
         "kind": algebra.kind.value,
@@ -392,7 +386,14 @@ def _run_algebra_info(ns, algebra) -> tuple[int, str]:
         "peirce_degree": algebra.peirce_degree,
         "density_shape_threshold": wishart.shape_threshold(algebra),
     }
-    return 0, json.dumps(doc)
+    return 0, doc
+
+
+def _strict_json(doc) -> str:
+    try:
+        return json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result holds NaN or an infinity; no document printed") from None
 
 
 _RUNNERS = {
@@ -408,11 +409,13 @@ _RUNNERS = {
 
 
 def run(cmd: Command) -> int:
-    """Dispatch a parsed command; prints the report and returns the exit code."""
+    """Dispatch a parsed command; prints the report (a CSV buffer as it is,
+    any other document as strict JSON) and returns the exit code."""
     ns = cmd.options
     algebra = Algebra.from_spec(ns.algebra)
     try:
-        code, output = _RUNNERS[cmd.subcommand](ns, algebra)
+        code, doc = _RUNNERS[cmd.subcommand](ns, algebra)
+        output = doc.getvalue().rstrip("\n") if isinstance(doc, io.StringIO) else _strict_json(doc)
     except (
         NotInCone, SingularElement, OutOfRegion, PoleError, ValueError, OSError,
         OverflowError, RuntimeError,

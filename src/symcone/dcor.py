@@ -75,6 +75,9 @@ def permutation_test(
     n = len(x)
     a = double_center(pairwise_distances(x))
     b = double_center(pairwise_distances(y))
+    for name, d in (("first", a), ("second", b)):
+        if not np.isfinite(d).all():
+            raise ValueError(f"the {name} sample's distance matrix overflows to non-finite values")
     observed = _dcov_sq(a, b)
     statistic = _dcor_from_centered(a, b)
     exceed = 0

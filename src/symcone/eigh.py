@@ -24,9 +24,10 @@ def _max_offdiag(b: np.ndarray) -> np.ndarray:
     return np.abs(b[:, mask]).max(axis=1, initial=0.0)
 
 
-def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
+def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int, threshold: np.ndarray) -> None:
     apq = b[:, p, q]
-    active = apq != 0.0
+    # only pivots above their own matrix's threshold turn: converged matrices stay untouched
+    active = np.abs(apq) > threshold
     if not active.any():
         return
     # a complex pivot |a_pq| w turns as the real |a_pq|, with w carried in s
@@ -76,11 +77,7 @@ def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
         v[:, :, q] = ss * vp + cc * vq
 
 
-def jacobi_eigh_batch(
-    mats,
-    compute_vectors: bool = True,
-    max_sweeps: int = MAX_SWEEPS,
-):
+def jacobi_eigh_batch(mats, compute_vectors: bool = True):
     """Diagonalize a stack of real symmetric or complex Hermitian matrices by
     cyclic Jacobi sweeps.
 
@@ -92,8 +89,9 @@ def jacobi_eigh_batch(
     Returns ``(w, v)`` where ``w`` is real (N, n) with eigenvalues in ascending
     order and ``v`` is (N, n, n), real or complex as the input, with matching
     orthonormal columns: ``v diag(w) v^H`` rebuilds the input (``None``
-    when ``compute_vectors`` is false).  Raises JacobiConvergenceError with a
-    diagnostic if any matrix fails to reach the off-diagonal tolerance.
+    when ``compute_vectors`` is false), each a function of its own matrix
+    alone.  Raises JacobiConvergenceError with a diagnostic if any matrix
+    fails to reach the off-diagonal tolerance within ``MAX_SWEEPS`` sweeps.
     """
     b = np.array(mats, dtype=complex if np.iscomplexobj(mats) else float)
     if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
@@ -107,16 +105,16 @@ def jacobi_eigh_batch(
     threshold = np.maximum(scale, np.finfo(float).tiny) * OFF_DIAG_TOL
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if np.all(_max_offdiag(b) <= threshold):
             break
         for p, q in pairs:
-            _rotate(b, v, p, q)
+            _rotate(b, v, p, q, threshold)
     worst = _max_offdiag(b)
     if not np.all(worst <= threshold):
         rel = float((worst / np.maximum(scale, np.finfo(float).tiny)).max())
         raise JacobiConvergenceError(
-            f"Jacobi sweeps did not converge after {max_sweeps} sweeps: "
+            f"Jacobi sweeps did not converge after {MAX_SWEEPS} sweeps: "
             f"max relative off-diagonal {rel:.3e}"
         )
 
@@ -128,20 +126,20 @@ def jacobi_eigh_batch(
     return w, v
 
 
-def jacobi_eigh(mat, compute_vectors: bool = True, max_sweeps: int = MAX_SWEEPS):
+def jacobi_eigh(mat, compute_vectors: bool = True):
     """Single-matrix wrapper around :func:`jacobi_eigh_batch`."""
     m = np.asarray(mat)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    w, v = jacobi_eigh_batch(m[None], compute_vectors=compute_vectors, max_sweeps=max_sweeps)
+    w, v = jacobi_eigh_batch(m[None], compute_vectors=compute_vectors)
     return w[0], (v[0] if v is not None else None)
 
 
-def jacobi_eigvals_batch(mats, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    w, _ = jacobi_eigh_batch(mats, compute_vectors=False, max_sweeps=max_sweeps)
+def jacobi_eigvals_batch(mats) -> np.ndarray:
+    w, _ = jacobi_eigh_batch(mats, compute_vectors=False)
     return w
 
 
-def jacobi_eigvals(mat, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    w, _ = jacobi_eigh(mat, compute_vectors=False, max_sweeps=max_sweeps)
+def jacobi_eigvals(mat) -> np.ndarray:
+    w, _ = jacobi_eigh(mat, compute_vectors=False)
     return w

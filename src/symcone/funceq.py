@@ -36,6 +36,7 @@ from .algebra import (
     quadratic_action_batch,
     traces_batch,
 )
+from .eigh import jacobi_eigh
 from .errors import AlgebraMismatch
 from .geometry import ConeElement
 from .rng import PURPOSE_PAIRS
@@ -272,12 +273,15 @@ def cauchy_difference(c: ScalarField) -> Callable[[Element, Element], float]:
 
 def _least_squares(rows, rhs, rank: int, what: str) -> tuple[np.ndarray, float]:
     """Least-squares solution of rows @ s = rhs and its max absolute residual;
-    raises ValueError when the design has rank below ``rank``."""
-    design = np.asarray(rows)
-    target = np.asarray(rhs)
-    solution, _, found, _ = np.linalg.lstsq(design, target, rcond=None)
-    if found < rank:
-        raise ValueError(f"degenerate {what}: design rank {found} < {rank}; add points")
+    raises ValueError when the design has rank below ``rank``.  Solves on the
+    Jacobi spectrum of the small Gram matrix D^T D, so it stays LAPACK-free."""
+    design = np.asarray(rows, dtype=float)
+    target = np.asarray(rhs, dtype=float)
+    w, v = jacobi_eigh(design.T @ design)
+    keep = w > max(design.shape) * np.finfo(float).eps * w[-1]
+    if keep.sum() < rank:
+        raise ValueError(f"degenerate {what}: design rank {keep.sum()} < {rank}; add points")
+    solution = v[:, keep] @ ((v[:, keep].T @ (design.T @ target)) / w[keep])
     return solution, float(np.abs(design @ solution - target).max())
 
 

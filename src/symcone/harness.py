@@ -189,9 +189,9 @@ def _run_experiment(
     sigma = v.std(axis=0, ddof=1) / math.sqrt(n)
     z = np.abs(observed - expected) / np.where(sigma > 0.0, sigma, 1.0)
     mean_check = {
-        "expected": [float(c) for c in expected],
-        "observed": [float(c) for c in observed],
-        "sigma": [float(c) for c in sigma],
+        "expected": expected.tolist(),
+        "observed": observed.tolist(),
+        "sigma": sigma.tolist(),
         "max_abs_z": float(z.max()),
     }
     return IndependenceReport(
@@ -231,7 +231,7 @@ def forward_experiment(
     alg = a.algebra
     params1 = WishartParams(alg, p1, a)
     params2 = WishartParams(alg, p2, a)
-    scale_meta = {"a": [float(c) for c in a.coords]}
+    scale_meta = {"a": a.coords.tolist()}
     return _run_experiment(
         "forward", params1, params2, scale_meta, n, seed, level,
         permutations, max_stat_samples, margin, workers,
@@ -270,10 +270,7 @@ def negative_experiment(
     alg = a1.algebra
     params1 = WishartParams(alg, p1, a1)
     params2 = WishartParams(alg, p2, a2)
-    scale_meta = {
-        "a1": [float(c) for c in a1.coords],
-        "a2": [float(c) for c in a2.coords],
-    }
+    scale_meta = {"a1": a1.coords.tolist(), "a2": a2.coords.tolist()}
     return _run_experiment(
         "negative", params1, params2, scale_meta, n, seed, level,
         permutations, max_stat_samples, margin, workers,

@@ -272,11 +272,11 @@ class SampleBatch:
                 "r_or_n": self.params.algebra.param,
             },
             "p": self.params.p,
-            "scale": [float(c) for c in self.params.a.coords],
+            "scale": self.params.a.coords.tolist(),
             "seed": self.seed,
             "stream": self.stream,
             "count": len(self),
-            "samples": [[float(c) for c in row] for row in self.coords],
+            "samples": self.coords.tolist(),
         }
 
     @classmethod
@@ -305,7 +305,7 @@ class SampleBatch:
         meta = {
             "algebra": self.params.algebra.spec_string(),
             "p": repr(self.params.p),
-            "scale": json.dumps([float(c) for c in self.params.a.coords]),
+            "scale": json.dumps(self.params.a.coords.tolist()),
             "seed": str(self.seed),
             "stream": str(self.stream),
             "count": str(len(self)),
@@ -314,8 +314,7 @@ class SampleBatch:
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"c{k}" for k in range(self.params.algebra.dim)])
-        for row in self.coords:
-            writer.writerow([repr(float(c)) for c in row])
+        writer.writerows(self.coords.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from symcone import cli
 from symcone.algebra import Algebra, Element, unit
@@ -302,6 +307,25 @@ def test_malformed_family_is_runtime_error(family, token, capsys):
     assert "NaN" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # squared distances of draws near 1e200 overflow in the dcor test
+        ["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "3",
+         "--max-stat-samples", "50", "--scale", "1e-200"],
+        # lambda = 1e308 e overflows <lambda, x>, and the residual becomes NaN
+        ["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
+         "--n-pairs", "20", "--family", "l=1e308,c1=1,c2=1,k=0"],
+    ],
+    ids=["dcor-overflow", "residual-overflow"],
+)
+def test_non_finite_results_are_runtime_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"symcone {argv[0]}:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("equation", ["cocycle", "log-quadratic"])
 def test_check_funceq_field_choice_reaches_every_equation(equation, capsys):
     reports = {
@@ -410,3 +434,160 @@ def test_verify_output_bytes_stable(capsys):
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv + ["--workers", "3"], capsys)
         assert out1 == out2, argv[:3]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argument vector ends in exit 0, 1 or 2 with strict JSON
+# ---------------------------------------------------------------------------
+
+_WILD_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0.0", "5e-324", "1e-200", "1e200", "1e308", "-1e308", "1e999",
+                     "inf", "-inf", "nan", "abc", ""]),
+    st.floats().map(repr),
+)
+_WILD_COORD = st.one_of(
+    st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e308, -1e308, 5e-324, np.inf, np.nan])
+)
+_WILD_ELEMENT = st.one_of(
+    st.builds(
+        lambda kind, size, coords: json.dumps(
+            {"algebra": {"kind": kind, "r_or_n": size}, "coords": coords}
+        ),
+        st.sampled_from(["symr", "hermc", "lorentz", "cube"]), st.sampled_from([1, 2, 3, "two"]),
+        st.lists(_WILD_COORD, max_size=5),
+    ),
+    st.sampled_from(['{"coords": [1.0]}', '{"algebra": ', "", "[]", "null"]),
+)
+_WILD_FAMILY = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["l", "c1", "c2", "k", "x", ""]), _WILD_NUMBER),
+             max_size=5).map(lambda pairs: ",".join(f"{k}={v}" for k, v in pairs)),
+    st.sampled_from(["l=0,c1,c2=1,k=0", ",,,", "l=1,c1=1,c2=1,k=0,k=1"]),
+)
+_WILD_POINT = st.one_of(
+    st.lists(_WILD_COORD, max_size=5).map(json.dumps),
+    st.sampled_from(["[1.0", "{}", "[[1.0]]", ""]),
+)
+
+
+def _mostly(plausible, wild):
+    """Draws from ``wild`` about one time in ten, so that about half of the
+    vectors get past parsing and reach the numerics."""
+    return st.integers(0, 9).flatmap(lambda k: wild if k == 0 else plausible)
+
+
+def _floats(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr), _WILD_NUMBER)
+
+
+@st.composite
+def _argv(draw, subcommand, directory):
+    spec = draw(_mostly(st.sampled_from(["symr:1", "symr:2", "hermc:2", "lorentz:3"]),
+                        st.sampled_from(["symr:0", "cube:2", "hermc"])))
+    argv = [subcommand, f"--algebra={spec}"]
+    try:
+        e = unit(Algebra.from_spec(spec))
+    except ValueError:  # the vector fails at parsing; any element will do
+        e = unit(Algebra.sym_real(2))
+    element = st.floats(0.1, 10.0).map(lambda k: (k * e).to_json())
+
+    def opt(name, values):
+        argv.append(f"--{name}={draw(values)}")
+
+    def element_file(name):
+        path = Path(directory) / f"{name}.json"
+        path.write_text(draw(_mostly(element, _WILD_ELEMENT)))
+        argv.append(f"--{name}={path}")
+
+    def scale(suffix=""):
+        choice = draw(st.sampled_from(["none", "multiple", "file"]))
+        if choice == "multiple":
+            opt(f"scale{suffix}", _floats(0.1, 10.0))
+        elif choice == "file":
+            element_file(f"scale{suffix}-file")
+
+    def maybe(name, values):
+        if draw(st.booleans()):
+            opt(name, values)
+
+    if subcommand == "sample":
+        opt("p", _floats(1.5, 8.0))
+        opt("n", _mostly(st.integers(1, 50), st.integers(-1, 0)))
+        opt("seed", _mostly(st.integers(0, 2**32), st.just(-1)))
+        opt("workers", st.sampled_from([1, 2]))
+        opt("format", st.sampled_from(["json", "csv"]))
+        scale()
+    elif subcommand == "density":
+        opt("p", _floats(1.5, 8.0))
+        scale()
+        if draw(st.booleans()):
+            point = st.floats(0.1, 10.0).map(lambda k: json.dumps((k * e).coords.tolist()))
+            opt("point", _mostly(point, _WILD_POINT))
+        else:
+            element_file("point-file")
+    elif subcommand == "laplace":
+        opt("p", _floats(1.5, 8.0))
+        scale()
+        if draw(st.booleans()):
+            opt("t", st.one_of(_floats(-0.5, 5.0), st.just("zero")))
+        else:
+            element_file("t-file")
+    elif subcommand == "split":
+        element_file("x-file")
+        element_file("y-file")
+    elif subcommand.startswith("verify-"):
+        maybe("p1", _floats(1.5, 8.0))
+        maybe("p2", _floats(1.5, 8.0))
+        maybe("level", _floats(0.01, 0.99))
+        opt("n", _mostly(st.just(1000), st.integers(990, 999)))
+        opt("seed", _mostly(st.integers(0, 2**32), st.just(-1)))
+        opt("permutations", _mostly(st.integers(1, 3), st.just(0)))
+        opt("max-stat-samples", _mostly(st.integers(2, 40), st.integers(0, 1)))
+        opt("workers", st.sampled_from([1, 2]))
+        for suffix in ("",) if subcommand == "verify-lukacs" else ("1", "2"):
+            scale(suffix)
+    elif subcommand == "check-funceq":
+        opt("equation", st.sampled_from(["olkin-baker", "olkin-baker-wishart", "log-quadratic",
+                                         "cocycle", "homogeneity", "pexider"]))
+        family = st.tuples(*[_floats(-2.0, 2.0)] * 4).map(
+            lambda v: "l={},c1={},c2={},k={}".format(*v)
+        )
+        opt("family", _mostly(family, _WILD_FAMILY))
+        opt("field", st.sampled_from(["logdet", "trace", "det-over-trace"]))
+        maybe("p1", _floats(1.5, 8.0))
+        maybe("p2", _floats(1.5, 8.0))
+        maybe("tol", _floats(1e-12, 1.0))
+        opt("n-pairs", _mostly(st.integers(1, 20), st.integers(-1, 0)))
+        opt("seed", _mostly(st.integers(0, 2**32), st.just(-1)))
+        scale()
+    return argv
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SCHEMAS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argument_vectors_keep_the_contract(subcommand, data):
+    with tempfile.TemporaryDirectory() as directory:
+        argv = data.draw(_argv(subcommand, directory), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(cli.parse(argv))
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue().strip(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert out or code != 0
+    if not out:
+        return
+    if "--format=csv" in argv:
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "c0"))]
+        assert rows and all(np.isfinite(float(c)) for row in rows for c in row)
+        return
+    doc = json.loads(out, parse_constant=_no_constant)
+    jsonschema.validate(doc, json.loads(cli.schema_text(subcommand)))

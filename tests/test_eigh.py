@@ -1,8 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcone
+from symcone import eigh, harness, wishart
+from symcone.algebra import Algebra, Element, coords_to_mats
 from symcone.eigh import jacobi_eigh, jacobi_eigh_batch, jacobi_eigvals_batch
 from symcone.errors import JacobiConvergenceError
 
@@ -90,10 +96,40 @@ def test_determinism(rng):
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
-def test_convergence_failure_is_loud(rng):
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5", "hermc:4"])
+def test_each_result_depends_only_on_its_own_matrix(spec):
+    # Wishart draws converge after different sweep counts, so a batch keeps
+    # sweeping after many of its members have converged
+    alg = Algebra.from_spec(spec)
+    draws = wishart.sample(wishart.WishartParams.isotropic(alg, 4.0), 300, 7)
+    mats = coords_to_mats(alg, draws.coords)
+    order = np.random.default_rng(3).permutation(len(mats))
+    w, v = jacobi_eigh_batch(mats)
+    wp, vp = jacobi_eigh_batch(mats[order])
+    for i in range(40):
+        w1, v1 = jacobi_eigh_batch(mats[i:i + 1])
+        j = int(np.flatnonzero(order == i)[0])
+        for w2, v2 in ((w[i], v[i]), (wp[j], vp[j])):
+            assert w1[0].tobytes() == w2.tobytes() and v1[0].tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])
+def test_scalar_split_is_a_row_of_split_batch(spec):
+    alg = Algebra.from_spec(spec)
+    params = wishart.WishartParams.isotropic(alg, 4.0)
+    x = wishart.sample(params, 100, 11, stream=0).coords
+    y = wishart.sample(params, 100, 11, stream=1).coords
+    _, u, _ = harness.split_batch(alg, x, y)
+    for i in range(0, 100, 9):
+        pair = harness.split(Element(alg, x[i]), Element(alg, y[i]))
+        assert pair.u.coords.tobytes() == u[i].tobytes()
+
+
+def test_convergence_failure_is_loud(rng, monkeypatch):
     mats = _random_symmetric(rng, 4, count=3)
+    monkeypatch.setattr(eigh, "MAX_SWEEPS", 0)
     with pytest.raises(JacobiConvergenceError, match="off-diagonal"):
-        jacobi_eigh_batch(mats, max_sweeps=0)
+        jacobi_eigh_batch(mats)
 
 
 def test_rejects_bad_input():
@@ -123,3 +159,11 @@ def test_reconstruction_property(flat):
         w, v = jacobi_eigh(mat)
         scale = max(np.abs(mat).max(), 1.0)
         assert np.abs((v * w) @ v.T.conj() - mat).max() <= 1e-12 * scale
+
+
+def test_package_never_calls_lapack():
+    # every spectrum and every fit goes through the Jacobi sweeps above, so
+    # results do not depend on the BLAS/LAPACK build
+    for path in sorted(Path(symcone.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not re.search(r"linalg|scipy", line), f"{path.name}:{number}: {line.strip()}"
