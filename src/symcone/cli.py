@@ -90,6 +90,16 @@ def _experiment_args(parser):
     parser.add_argument("--workers", type=int, default=1)
 
 
+def _t_multiple(text: str) -> float:
+    try:
+        value = 0.0 if text.strip() == "zero" else float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be 'zero' or a finite number, got {text!r}")
+    return value
+
+
 def _out_args(parser):
     parser.add_argument("--out", default=None, metavar="PATH", help="also write stdout document to PATH")
 
@@ -127,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     _scale_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", default=None, metavar="K|zero",
+    group.add_argument("--t", type=_t_multiple, default=None, metavar="K|zero",
                        help="argument t = K * e ('zero' for t = 0)")
     group.add_argument("--t-file", default=None, help="JSON element file for t")
     _out_args(p)
@@ -286,11 +296,7 @@ def _run_density(ns, algebra) -> tuple[int, object]:
 
 def _run_laplace(ns, algebra) -> tuple[int, object]:
     params = wishart.WishartParams(algebra, ns.p, _resolve_scale(ns, algebra))
-    if ns.t_file:
-        t = _load_element(ns.t_file)
-    else:
-        multiple = 0.0 if ns.t.strip() == "zero" else float(ns.t)
-        t = multiple * unit(algebra)
+    t = _load_element(ns.t_file) if ns.t_file else ns.t * unit(algebra)
     return 0, wishart.laplace_transform(params, t)
 
 
@@ -410,11 +416,16 @@ _RUNNERS = {
 
 def run(cmd: Command) -> int:
     """Dispatch a parsed command; prints the report (a CSV buffer as it is,
-    any other document as strict JSON) and returns the exit code."""
+    any other document as strict JSON) and returns the exit code.
+
+    Floating-point warnings are silenced: a non-finite result is refused by
+    the strict JSON encoder or by the stage that computed it, with one line.
+    """
     ns = cmd.options
     algebra = Algebra.from_spec(ns.algebra)
     try:
-        code, doc = _RUNNERS[cmd.subcommand](ns, algebra)
+        with np.errstate(all="ignore"):
+            code, doc = _RUNNERS[cmd.subcommand](ns, algebra)
         output = doc.getvalue().rstrip("\n") if isinstance(doc, io.StringIO) else _strict_json(doc)
     except (
         NotInCone, SingularElement, OutOfRegion, PoleError, ValueError, OSError,

@@ -111,3 +111,25 @@ def naive_distance_correlation(x, y):
     if dvar_x * dvar_y <= 0.0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_x * dvar_y))
+
+
+def full_gather_permutation_test(x, y, n_permutations, gen):
+    """The permutation test as it read before the block-triangle kernel:
+    separate row and column means, and each permutation gathers the whole
+    permuted matrix.  Returns (statistic, p-value)."""
+
+    def centred(z):
+        z = np.asarray(z, dtype=float).reshape(len(z), -1)
+        d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
+        return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+    a, b = centred(x), centred(y)
+    observed = np.mean(a * b)
+    exceed = 0
+    for _ in range(n_permutations):
+        pi = gen.permutation(len(a))
+        if np.mean(a * b[pi[:, None], pi[None, :]]) >= observed:
+            exceed += 1
+    denom = math.sqrt(np.mean(a * a) * np.mean(b * b))
+    statistic = math.sqrt(max(observed, 0.0) / denom) if denom > 0.0 else 0.0
+    return statistic, (1.0 + exceed) / (1.0 + n_permutations)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -105,6 +106,15 @@ def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):
         cli.parse(argv)
     assert exc.value.code == 2
     assert quoted in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+def test_parse_rejects_malformed_laplace_t(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse(["laplace", "--algebra", "symr:2", "--p", "3", "--t", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--t" in err and repr(value) in err and "Traceback" not in err
 
 
 def test_parse_rejects_unknown_subcommand():
@@ -319,11 +329,16 @@ def test_malformed_family_is_runtime_error(family, token, capsys):
     ],
     ids=["dcor-overflow", "residual-overflow"],
 )
-def test_non_finite_results_are_runtime_errors(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
-    assert code == 1 and out == ""
-    assert err.startswith(f"symcone {argv[0]}:") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+def test_non_finite_results_are_runtime_errors(argv):
+    # a real process, so a leaked RuntimeWarning would reach its stderr
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcone.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"symcone {argv[0]}:"), proc.stderr
 
 
 @pytest.mark.parametrize("equation", ["cocycle", "log-quadratic"])
@@ -573,16 +588,29 @@ def test_fuzzed_argument_vectors_keep_the_contract(subcommand, data):
     with tempfile.TemporaryDirectory() as directory:
         argv = data.draw(_argv(subcommand, directory), label="argv")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = cli.run(cli.parse(argv))
             except SystemExit as exc:
                 code = exc.code
-    out, err = out.getvalue().strip(), err.getvalue()
+    # a warning would reach a real process's stderr, so it counts as stderr here
+    out = out.getvalue().strip()
+    err = err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
     event(f"exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    assert out or code != 0
+    if code != 2:
+        # a document (exit 0, or 1 for a failed verification) comes with a silent
+        # stderr; a runtime error comes with no document and one stderr line
+        if out:
+            assert err == ""
+        else:
+            assert code == 1 and len(err.splitlines()) == 1, err
+            assert err.startswith(f"symcone {subcommand}:"), err
     if not out:
         return
     if "--format=csv" in argv:

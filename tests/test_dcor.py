@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import naive_distance_correlation
+from _oracles import full_gather_permutation_test, naive_distance_correlation
 from symcone import dcor
 from symcone.rng import PURPOSE_PERMUTE, make_generator
 
@@ -73,3 +73,55 @@ def test_validates_input(rng):
             0,
             make_generator(0, PURPOSE_PERMUTE),
         )
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (33, 2), (100, 6), (257, 9)])
+def test_double_centred_distances_are_bit_symmetric(shape, rng):
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 100.0, shape[1])
+    for sample in (x, x[::-1], x[:, :1], np.asfortranarray(x)):
+        a = dcor.double_center(dcor.pairwise_distances(sample))
+        assert np.array_equal(a, a.T)
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 100, 257])
+def test_p_values_match_the_full_gather_reference(n):
+    for seed in range(4):
+        data = np.random.default_rng(1000 * n + seed)
+        x = data.standard_normal((n, 3))
+        # weak dependence, so that the p-values spread over (0, 1]
+        y = 0.05 * x[:, :2] ** 2 + data.standard_normal((n, 2))
+        _, p = dcor.permutation_test(x, y, 29, make_generator(seed, PURPOSE_PERMUTE))
+        _, p_ref = full_gather_permutation_test(
+            x, y, 29, make_generator(seed, PURPOSE_PERMUTE)
+        )
+        assert p == p_ref, (n, seed)
+
+
+class _IdentityPermutations:
+    def permutation(self, n):
+        return np.arange(n)
+
+
+def test_identity_permutations_give_p_one(rng):
+    # the observed sum comes from the same kernel, so each identity ties exactly
+    for n in (2, 33, 97, 300):
+        for _ in range(4):
+            x = rng.standard_normal((n, 3))
+            y = x[:, :1] ** 2 + 0.01 * rng.standard_normal((n, 1))
+            _, p = dcor.permutation_test(x, y, 3, _IdentityPermutations())
+            assert p == 1.0
+
+
+def test_statistic_agrees_with_two_mean_centring(rng):
+    def two_mean(d):
+        return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+    for n in (31, 200, 1000):
+        x = rng.standard_normal((n, 6))
+        y = x[:, :3] ** 2 + rng.standard_normal((n, 3))
+        old = dcor._dcor_from_centered(
+            two_mean(dcor.pairwise_distances(x)), two_mean(dcor.pairwise_distances(y))
+        )
+        stat, _ = dcor.permutation_test(x, y, 1, make_generator(0, PURPOSE_PERMUTE))
+        assert stat == dcor.distance_correlation(x, y)
+        assert abs(stat - old) <= 1e-15 * old
