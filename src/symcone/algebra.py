@@ -368,14 +368,36 @@ def _require_open_cone(eigs, what: str, eps: float = EPS_CONE, error=NotInCone) 
     return float(w.min())
 
 
+def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
+    """(N, r) pivots d_k of the unpivoted LDL^H factorisation of each row of a
+    (N, dim) batch (Golub & Van Loan 4.2): a row lies in the open cone iff
+    every pivot is > 0, and then log det = sum of log d_k.  The Lorentz family
+    returns its closed-form eigenvalues x0 -+ |xbar|, which serve the same.
+    After a pivot <= 0 the later ones are meaningless (possibly NaN)."""
+    c = np.asarray(coords, dtype=float)
+    if algebra.kind is AlgebraKind.LORENTZ:
+        nrm = np.sqrt(np.sum(c[:, 1:] ** 2, axis=1))
+        return np.stack([c[:, 0] - nrm, c[:, 0] + nrm], axis=1)
+    a = coords_to_mats(algebra, c)
+    r = algebra.param
+    d = np.empty(a.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(r):
+            d[:, k] = a[:, k, k].real
+            col = a[:, k + 1:, k]
+            # Schur complement: A22 - a21 a21^H / d_k
+            a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / d[:, k, None])[:, None, :]
+    return d
+
+
 def _log_det_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
-    """log det of each row of a (N, dim) coordinate batch."""
-    return _log_det(eigvals_batch(algebra, coords))
+    """log det of each row of a (N, dim) coordinate batch, from its LDL^H pivots."""
+    return _log_det(_ldl_pivots(algebra, coords))
 
 
 def _log_det(x):
-    """log det of an element (a float), or of the Jordan eigenvalues along
-    the last axis of an array."""
+    """log det of an element (a float), or the sum of logs along the last axis
+    of an array of Jordan eigenvalues or LDL^H pivots."""
     if isinstance(x, Element):
         return float(_log_det_batch(x.algebra, x.coords[None])[0])
     return np.sum(np.log(x), axis=-1)

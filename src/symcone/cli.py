@@ -57,9 +57,36 @@ class Command:
     options: argparse.Namespace
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type`` callable: ``convert`` the text, then require ``ok``
+    of the value, quoting it; a malformed text keeps argparse's own message."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _algebra_spec(text: str) -> str:
+    try:
+        Algebra.from_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+_FINITE = _checked(float, math.isfinite, "finite")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "nonnegative")
+
+
 def _algebra_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--algebra", required=True, metavar="KIND:SIZE",
+        "--algebra", required=True, type=_algebra_spec, metavar="KIND:SIZE",
         help="algebra spec, e.g. symr:3, hermc:2, lorentz:4",
     )
 
@@ -78,16 +105,19 @@ def _scale_args(parser, suffix=""):
 
 def _experiment_args(parser):
     _algebra_arg(parser)
-    parser.add_argument("--p1", type=float, default=4.0)
-    parser.add_argument("--p2", type=float, default=4.0)
-    parser.add_argument("--n", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--level", type=float, default=0.05)
-    parser.add_argument("--permutations", type=int, default=harness.DEFAULT_PERMUTATIONS)
+    parser.add_argument("--p1", type=_FINITE, default=4.0)
+    parser.add_argument("--p2", type=_FINITE, default=4.0)
+    parser.add_argument("--n", type=_AT_LEAST_1, default=10000)
+    parser.add_argument("--seed", type=_NONNEGATIVE, default=0)
     parser.add_argument(
-        "--max-stat-samples", type=int, default=harness.DEFAULT_MAX_STAT_SAMPLES
+        "--level", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--permutations", type=_AT_LEAST_1, default=harness.DEFAULT_PERMUTATIONS)
+    parser.add_argument(
+        "--max-stat-samples", type=_checked(int, lambda v: v >= 2, "at least 2"),
+        default=harness.DEFAULT_MAX_STAT_SAMPLES,
+    )
+    parser.add_argument("--workers", type=_AT_LEAST_1, default=1)
 
 
 def _t_multiple(text: str) -> float:
@@ -104,7 +134,8 @@ def _out_args(parser):
     parser.add_argument("--out", default=None, metavar="PATH", help="also write stdout document to PATH")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="symcone",
         description="Jordan-algebra cone toolkit: sampling, densities, and "
@@ -114,18 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw Wishart samples on a cone")
     _algebra_arg(p)
-    p.add_argument("--p", type=float, required=True, help="shape parameter")
-    p.add_argument("--n", type=int, required=True, help="number of draws")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--p", type=_FINITE, required=True, help="shape parameter")
+    p.add_argument("--n", type=_AT_LEAST_1, required=True, help="number of draws")
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_AT_LEAST_1, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _scale_args(p)
     _out_args(p)
 
     p = sub.add_parser("density", help="evaluate the Wishart log density at a point")
     _algebra_arg(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_FINITE, required=True)
     _scale_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", default=None, help="inline JSON list of coordinates")
@@ -134,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laplace", help="evaluate the Laplace transform")
     _algebra_arg(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_FINITE, required=True)
     _scale_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=_t_multiple, default=None, metavar="K|zero",
@@ -170,60 +201,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solution family 'l=L,c1=A,c2=B,k=K' with lambda = L * e")
     p.add_argument("--field", choices=list(_FIELDS),
                    default="logdet", help="candidate field for the single-field equations")
-    p.add_argument("--p1", type=float, default=3.0)
-    p.add_argument("--p2", type=float, default=3.0)
+    p.add_argument("--p1", type=_FINITE, default=3.0)
+    p.add_argument("--p2", type=_FINITE, default=3.0)
     _scale_args(p)
-    p.add_argument("--n-pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--n-pairs", type=_AT_LEAST_1, default=1000)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    p.add_argument(
+        "--tol", type=_checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+        default=1e-10,
+    )
     _out_args(p)
 
     p = sub.add_parser("algebra-info", help="rank, dimension and Peirce degree")
     _algebra_arg(p)
     _out_args(p)
 
-    return parser
+    return parser, sub.choices
 
 
-# (option, test, requirement) for every subcommand that has the option
-_LIMITS = (
-    ("p", math.isfinite, "finite"),
-    ("p1", math.isfinite, "finite"),
-    ("p2", math.isfinite, "finite"),
-    ("n", lambda v: v >= 1, "positive"),
-    ("seed", lambda v: v >= 0, "nonnegative"),
-    ("level", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("tol", lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    ("workers", lambda v: v >= 1, "at least 1"),
-    ("n_pairs", lambda v: v >= 1, "at least 1"),
-    ("permutations", lambda v: v >= 1, "at least 1"),
-    ("max_stat_samples", lambda v: v >= 2, "at least 2"),
-)
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 def parse(argv) -> Command:
     """Parse and validate an argument vector (exits with status 2 on usage
-    errors, argparse style)."""
-    parser = build_parser()
+    errors, argparse style, with the subcommand's usage line)."""
+    parser, subparsers = _build()
     options = parser.parse_args(argv)
-    try:
-        algebra = Algebra.from_spec(options.algebra)
-    except ValueError as exc:
-        parser.error(str(exc))
-    threshold = wishart.shape_threshold(algebra)
-    for attr in ("p", "p1", "p2"):
-        value = getattr(options, attr, None)
-        if value is not None and options.subcommand not in ("check-funceq",) and not value > threshold:
-            parser.error(
-                f"shape {attr}={value} out of range for {options.algebra}: "
-                f"requires {attr} > {threshold} (= dim/r - 1)"
-            )
-    for attr, ok, requirement in _LIMITS:
-        value = getattr(options, attr, None)
-        if value is not None and not ok(value):
-            parser.error(f"--{attr.replace('_', '-')} must be {requirement}, got {value!r}")
+    sub = subparsers[options.subcommand]
+    threshold = wishart.shape_threshold(Algebra.from_spec(options.algebra))
+    if options.subcommand != "check-funceq":
+        for attr in ("p", "p1", "p2"):
+            value = getattr(options, attr, None)
+            if value is not None and not value > threshold:
+                sub.error(
+                    f"shape {attr}={value} out of range for {options.algebra}: "
+                    f"requires {attr} > {threshold} (= dim/r - 1)"
+                )
     if options.subcommand.startswith("verify-") and options.n < harness.MIN_EXPERIMENT_SAMPLES:
-        parser.error(
+        sub.error(
             f"--n must be at least {harness.MIN_EXPERIMENT_SAMPLES} for experiments, "
             f"got {options.n!r}"
         )

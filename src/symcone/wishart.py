@@ -45,6 +45,7 @@ from .algebra import (
     Element,
     _hermitian_part,
     _in_open_cone,
+    _ldl_pivots,
     _log_det,
     _require_open_cone,
     eigvals_batch,
@@ -234,26 +235,32 @@ def _transport(params: WishartParams, coords: np.ndarray) -> np.ndarray:
 class SampleBatch:
     """A deterministic, seed-tagged batch of cone elements.
 
-    ``coords`` is the (count, dim) coordinate matrix, ``min_eigenvalues`` the
-    per-sample cone certificates.  The ``samples`` list of certified cone
-    elements is materialized lazily; vectorized consumers should stay on the
-    arrays.
+    ``coords`` is the (count, dim) coordinate matrix.  ``min_eigenvalues``,
+    the smallest Jordan eigenvalue of each sample, and the ``samples`` list
+    of certified cone elements are computed on first read; vectorized
+    consumers should stay on ``coords``.
     """
 
     params: WishartParams
     seed: int
     stream: int
     coords: np.ndarray
-    min_eigenvalues: np.ndarray
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
         self.coords.setflags(write=False)
-        self.min_eigenvalues = np.asarray(self.min_eigenvalues, dtype=float)
-        self.min_eigenvalues.setflags(write=False)
+        self._min_eigenvalues = None
 
     def __len__(self) -> int:
         return self.coords.shape[0]
+
+    @property
+    def min_eigenvalues(self) -> np.ndarray:
+        if self._min_eigenvalues is None:
+            lows = eigvals_batch(self.params.algebra, self.coords)[:, 0]
+            lows.setflags(write=False)
+            self._min_eigenvalues = lows
+        return self._min_eigenvalues
 
     @cached_property
     def samples(self) -> list[ConeElement]:
@@ -286,7 +293,7 @@ class SampleBatch:
 
     @classmethod
     def _restore(cls, alg: Algebra, meta, scale, rows) -> "SampleBatch":
-        """Rebuild a serialized batch and recompute its cone certificates."""
+        """Rebuild a serialized batch."""
         a = ConeElement.certify(Element(alg, np.asarray(scale, dtype=float)))
         coords = np.asarray(rows, dtype=float).reshape(int(meta["count"]), alg.dim)
         return cls(
@@ -294,7 +301,6 @@ class SampleBatch:
             seed=int(meta["seed"]),
             stream=int(meta["stream"]),
             coords=coords,
-            min_eigenvalues=eigvals_batch(alg, coords)[:, 0],
         )
 
     def to_csv(self, path) -> None:
@@ -312,9 +318,9 @@ class SampleBatch:
         }
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"c{k}" for k in range(self.params.algebra.dim)])
-        writer.writerows(self.coords.tolist())
+        # the bytes of csv.writer: floats as repr, never quoted
+        fh.write(",".join(f"c{k}" for k in range(self.params.algebra.dim)) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in self.coords.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":
@@ -373,12 +379,11 @@ def sample(
             fill(entry)
 
     coords = _transport(params, coords)
-    eigs = eigvals_batch(alg, coords)
-    if not _in_open_cone(eigs, 0.0).all():
+    # the certificate: every LDL^H pivot > 0; the spectrum only for the message
+    if not (_ldl_pivots(alg, coords) > 0.0).all():
         raise NotInCone(
             f"sampler produced a draw outside the open cone (min eigenvalue "
-            f"{eigs[:, 0].min():.3e}); shape p={params.p} may be too close to the threshold"
+            f"{eigvals_batch(alg, coords)[:, 0].min():.3e}); "
+            f"shape p={params.p} may be too close to the threshold"
         )
-    return SampleBatch(
-        params=params, seed=seed, stream=stream, coords=coords, min_eigenvalues=eigs[:, 0]
-    )
+    return SampleBatch(params=params, seed=seed, stream=stream, coords=coords)

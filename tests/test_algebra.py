@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,14 +9,21 @@ from hypothesis import strategies as st
 
 from _oracles import dense_jordan_product
 from _utils import random_cone_element, random_element, rel_err
+from symcone import wishart
 from symcone.algebra import (
     Algebra,
     AlgebraKind,
     Element,
     LinearMap,
+    _in_open_cone,
+    _ldl_pivots,
+    _log_det_batch,
+    _unit_coords,
     apply,
+    coords_to_mats,
     det,
     eigenvalues,
+    eigvals_batch,
     element_from_matrix,
     inner,
     inv_sqrt_in_cone,
@@ -22,11 +31,13 @@ from symcone.algebra import (
     jordan_product,
     l_map,
     p_map,
+    quadratic_action_batch,
     sqrt_in_cone,
     trace,
     unit,
 )
 from symcone.errors import AlgebraMismatch, DimensionMismatch, NotInCone, SingularElement
+from symcone.funceq import sample_cone_pairs
 
 SYM2 = Algebra.sym_real(2)
 HERM2 = Algebra.herm_complex(2)
@@ -261,7 +272,65 @@ def test_det_is_product_trace_is_sum(algebra, rng):
         x = random_element(algebra, rng)
         w = eigenvalues(x)
         assert rel_err(det(x), np.prod(w), floor=1e-10) < 1e-10
-        assert rel_err(trace(x), np.sum(w), floor=1e-12) < 1e-12
+        # relative to the spectral radius: a trace near 0 from eigenvalues of
+        # order 1 is only good to the rounding of their sum
+        assert abs(trace(x) - np.sum(w)) < 1e-12 * np.abs(w).max()
+
+
+# ---------------------------------------------------------------------------
+# LDL^H pivots: the open-cone certificate and log det
+# ---------------------------------------------------------------------------
+
+def _exact_log_det_3x3(mat):
+    """log det of a 3x3 float matrix from its exact rational determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(float(v)) for v in row] for row in mat]
+    return math.log(float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)))
+
+
+def test_log_det_is_accurate_on_ill_conditioned_points():
+    sym3 = Algebra.sym_real(3)
+    # P(y) x over sweep points at the default margin: condition numbers up to ~1e7
+    pairs = sample_cone_pairs(sym3, 2000, seed=7)
+    x, y = (np.stack([p.coords for p in column]) for column in zip(*pairs))
+    points = quadratic_action_batch(sym3, y, x)
+    exact = np.array([_exact_log_det_3x3(m) for m in coords_to_mats(sym3, points)])
+    w = eigvals_batch(sym3, points)
+    kappa = w[:, -1] / w[:, 0]
+    assert kappa.max() > 1e6
+    err = np.abs(_log_det_batch(sym3, points) - exact)
+    # backward stable: a few eps times the condition number, plus the final rounding
+    assert (err <= 8.0 * np.finfo(float).eps * (kappa + np.abs(exact))).all()
+    assert err.max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5", "lorentz:4"])
+def test_ldl_certificate_agrees_with_eigenvalues(spec):
+    alg = Algebra.from_spec(spec)
+    # just above the shape threshold, some raw draws touch the boundary
+    p = wishart.shape_threshold(alg) + 0.05
+    draws = wishart._standard_chunk_coords(alg, p, 4000, np.random.default_rng(5))
+    w = eigvals_batch(alg, draws)
+    by_pivots = (_ldl_pivots(alg, draws) > 0.0).all(axis=1)
+    # both verdicts are rounding noise where lambda_min is ~eps of the radius
+    decided = np.abs(w[:, 0]) > 1e-13 * np.abs(w).max(axis=1)
+    assert (~decided).any()
+    assert np.array_equal(by_pivots[decided], _in_open_cone(w, 0.0)[decided])
+    # shifted by just under and just over lambda_min e: both sides of the boundary
+    clear = w[:, 0] > 1e-6 * w[:, -1]
+    for factor, inside in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        shifted = draws[clear] - factor * w[clear, :1] * _unit_coords(alg)
+        assert (_in_open_cone(eigvals_batch(alg, shifted), 0.0) == inside).all()
+        assert ((_ldl_pivots(alg, shifted) > 0.0).all(axis=1) == inside).all()
+
+
+def test_ldl_pivots_off_the_cone():
+    indefinite = np.array([[1.0, -2.0, 3.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(_ldl_pivots(Algebra.sym_real(3), indefinite), [[1.0, -2.0, 3.0]])
+    # a zero pivot divides by zero inside the kernel, silently; no pivot list passes
+    singular = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 2.0 ** 0.5]])
+    with np.errstate(all="raise"):
+        d = _ldl_pivots(Algebra.sym_real(2), singular)
+    assert not (d > 0.0).all(axis=1).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -105,7 +106,11 @@ def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.parse(argv)
     assert exc.value.code == 2
-    assert quoted in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert quoted in err
+    # the subcommand's own usage line and error prefix, as for argparse's own errors
+    assert err.startswith(f"usage: symcone {argv[0]} ")
+    assert f"\nsymcone {argv[0]}: error: " in err
 
 
 @pytest.mark.parametrize("value", ["abc", "inf", "nan"])
@@ -370,6 +375,15 @@ def test_check_funceq_exit_codes(capsys):
     assert code == 1  # trace violates the identity, residual above --tol
 
 
+def test_log_quadratic_on_ill_conditioned_hermitian_points_passes(capsys):
+    # P(y)x reaches condition numbers near 1e7 here; the LDL^H log det keeps the
+    # residual near 1e-11, under the default --tol of 1e-10
+    code, out, _ = run_cli(["check-funceq", "--equation", "log-quadratic", "--algebra",
+                            "hermc:3", "--n-pairs", "2000", "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["max_residual"] < 5e-11
+
+
 def test_check_funceq_wishart_dictionary(capsys):
     code, out, _ = run_cli(
         ["check-funceq", "--equation", "olkin-baker-wishart", "--algebra", "symr:2",
@@ -435,6 +449,24 @@ def test_output_bytes_are_stable_across_runs_and_workers(capsys):
         _, out2, _ = run_cli(argv, capsys)
         _, out3, _ = run_cli(argv + ["--workers", "4"], capsys)
         assert out1 == out2 == out3, spec
+
+
+# sha256 of the stdout bytes of the three sample commands of the benchmark at n = 500;
+# a change to the sampler, its certificate or the encoders shows here
+SAMPLE_DIGESTS = {
+    ("hermc:3", "json"): "aaaadea6f67ffd110ca2ba1377c625244870f924ba110c81debdaf87d3a51bb7",
+    ("symr:3", "csv"): "6ae91eb60d50ab30854fb5c722175a311de77aae44ec1bf3655065174e465db1",
+    ("lorentz:4", "json"): "5e7393504a7ea3f49fc1d3fc12597cb5fd284e4e779fd403f569c6c47091c3ba",
+}
+
+
+@pytest.mark.parametrize("spec,fmt", list(SAMPLE_DIGESTS))
+def test_sample_bytes_are_pinned(spec, fmt, capsys):
+    argv = ["sample", "--algebra", spec, "--p", "4.0", "--n", "500", "--seed", "0",
+            "--workers", "1", "--format", fmt]
+    assert cli.run(cli.parse(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[spec, fmt]
 
 
 def test_verify_output_bytes_stable(capsys):

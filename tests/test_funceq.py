@@ -5,14 +5,26 @@ import numpy as np
 import pytest
 
 from _utils import rel_err
-from symcone import eigh
-from symcone.algebra import Algebra, Element, _log_det, eigenvalues, inner, trace, unit
+from symcone import eigh, wishart
+from symcone.algebra import (
+    Algebra,
+    Element,
+    _ldl_pivots,
+    _log_det,
+    eigenvalues,
+    eigvals_batch,
+    inner,
+    trace,
+    traces_batch,
+    unit,
+)
 from symcone.errors import AlgebraMismatch
 from symcone.funceq import (
     ResidualReport,
     ScalarField,
     SolutionFamily,
     _evaluate,
+    _within_margin,
     cauchy_difference,
     cocycle_residual,
     generate_pexider_samples,
@@ -272,6 +284,30 @@ def test_scalar_field_domain_tag():
     assert f.domain == "D"
 
 
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5", "lorentz:4"])
+def test_margin_filter_agrees_with_eigenvalues(spec):
+    alg = Algebra.from_spec(spec)
+    # draws just above the shape threshold spread lambda_min / tr over many decades
+    p = wishart.shape_threshold(alg) + 0.05
+    draws = wishart._standard_chunk_coords(alg, p, 4000, np.random.default_rng(9))
+    w = eigvals_batch(alg, draws)
+    for margin in (1e-6, 1e-3, 1e-2):
+        bound = margin * traces_batch(alg, draws)
+        kept = w[:, 0] > bound
+        assert 0 < kept.sum() < len(draws)
+        # skip rows whose gap to the margin is at the rounding level
+        decided = np.abs(w[:, 0] - bound) > 1e-13 * np.abs(w).max(axis=1)
+        by_pivots = _within_margin(alg, draws, margin)
+        assert np.array_equal(by_pivots[decided], kept[decided])
+
+
+def test_sweep_points_clear_the_margin():
+    for spec in ("symr:3", "hermc:3"):
+        alg = Algebra.from_spec(spec)
+        x = np.stack([e.coords for e in sample_cone_points(alg, 500, seed=4, margin=1e-2)])
+        assert (eigvals_batch(alg, x)[:, 0] > 1e-2 * traces_batch(alg, x)).all()
+
+
 def test_sweep_samplers_are_deterministic():
     p1 = sample_cone_pairs(SYM2, 50, seed=77)
     p2 = sample_cone_pairs(SYM2, 50, seed=77)
@@ -330,13 +366,17 @@ def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
         for n in (10, 200)
     }
     calls = []
-    original = eigh.jacobi_eigh_batch
 
-    def counting(mats, *args, **kwargs):
-        calls.append(np.shape(mats))
-        return original(mats, *args, **kwargs)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting)
+        return wrapper
+
+    # log det runs through the LDL^H kernel, so a sweep may make no Jacobi call
+    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting(eigh.jacobi_eigh_batch))
+    monkeypatch.setattr("symcone.algebra._ldl_pivots", counting(_ldl_pivots))
     for name, sweep in sweeps.items():
         counts = []
         for n in (10, 200):

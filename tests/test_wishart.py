@@ -12,6 +12,7 @@ from symcone.algebra import (
     Algebra,
     Element,
     eigenvalues,
+    eigvals_batch,
     inv_sqrt_in_cone,
     p_map,
     unit,
@@ -214,6 +215,19 @@ def test_samples_live_in_cone(algebra):
     sub = batch.samples[:5]
     assert all(isinstance(s, ConeElement) for s in sub)
     assert len(batch) == 2000
+
+
+def test_min_eigenvalues_are_computed_on_read(algebra):
+    batch = sample(isotropic(algebra, shape_threshold(algebra) + 0.7), 500, seed=3)
+    lows = batch.min_eigenvalues
+    assert np.array_equal(lows, eigvals_batch(algebra, batch.coords)[:, 0])
+    assert batch.min_eigenvalues is lows
+    with pytest.raises(ValueError):
+        lows[0] = 1.0
+    with pytest.raises(AttributeError):
+        batch.min_eigenvalues = lows
+    again = SampleBatch.from_json_dict(batch.to_json_dict())
+    assert np.array_equal(again.min_eigenvalues, lows)
 
 
 def test_scalar_sampler_matches_gamma_distribution():
