@@ -36,8 +36,9 @@ from .errors import (
     SingularElement,
 )
 
-# Relative tolerances for singularity / cone-boundary decisions, both taken
-# relative to the spectral radius of the element being tested.
+# Relative tolerances: ``inverse`` calls x singular when its smallest
+# |eigenvalue| is below EPS_SINGULAR times its largest, and x lies in the open
+# cone when lambda_min(x) > EPS_CONE * tr(x), the package's one open-cone rule.
 EPS_SINGULAR = 1e-12
 EPS_CONE = 1e-12
 
@@ -350,22 +351,24 @@ def quadratic_action_batch(algebra: Algebra, y: np.ndarray, x: np.ndarray) -> np
     return mats_to_coords(algebra, _hermitian_part(ym @ coords_to_mats(algebra, x) @ ym))
 
 
-def _in_open_cone(eigs, eps: float = EPS_CONE, scale=None):
-    """The open-cone test on Jordan eigenvalues along the last axis: the
-    smallest exceeds ``eps`` times ``scale`` (default: the spectral radius)
-    and the scale is positive.  Returns a bool per row."""
+def _in_open_cone(eigs, eps: float = EPS_CONE):
+    """The open-cone rule lambda_min > ``eps`` tr, tr > 0, on Jordan eigenvalues
+    along the last axis (tr is their sum); a bool per row."""
     w = np.asarray(eigs, dtype=float)
-    ref = np.abs(w).max(axis=-1) if scale is None else np.asarray(scale, dtype=float)
-    return (ref > 0.0) & (w.min(axis=-1) > eps * ref)
+    tr = w.sum(axis=-1)
+    return (tr > 0.0) & (w.min(axis=-1) > eps * tr)
 
 
-def _require_open_cone(eigs, what: str, eps: float = EPS_CONE, error=NotInCone) -> float:
-    """The smallest of one element's eigenvalues; raises ``error``, quoting it
-    and the spectral radius after ``what``, when :func:`_in_open_cone` fails."""
-    w = np.asarray(eigs, dtype=float)
-    if not _in_open_cone(w, eps):
-        raise error(f"{what} (min eigenvalue {w.min():.3e}, radius {np.abs(w).max():.3e})")
-    return float(w.min())
+def _require_open_cone(eigs, what: str, eps: float = EPS_CONE) -> np.ndarray:
+    """The smallest eigenvalue of each row of ``eigs`` (or of one 1-d spectrum);
+    raises NotInCone, quoting the first failing row's and its trace after
+    ``what``, when :func:`_in_open_cone` fails."""
+    w = np.atleast_2d(np.asarray(eigs, dtype=float))
+    inside = _in_open_cone(w, eps)
+    if not inside.all():
+        first = w[np.argmin(inside)]
+        raise NotInCone(f"{what} (min eigenvalue {first.min():.3e}, trace {first.sum():.3e})")
+    return w.min(axis=-1)
 
 
 def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
@@ -390,17 +393,22 @@ def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     return d
 
 
+def _in_open_cone_ldl(algebra: Algebra, coords: np.ndarray, eps: float = EPS_CONE) -> np.ndarray:
+    """:func:`_in_open_cone` for each row of a (N, dim) batch, with no spectrum:
+    tr is linear, so the rule holds iff every LDL^H pivot of x - eps tr(x) e is > 0."""
+    tr = traces_batch(algebra, coords)
+    pivots = _ldl_pivots(algebra, coords - eps * tr[:, None] * _unit_coords(algebra))
+    return (tr > 0.0) & (pivots > 0.0).all(axis=1)
+
+
 def _log_det_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     """log det of each row of a (N, dim) coordinate batch, from its LDL^H pivots."""
-    return _log_det(_ldl_pivots(algebra, coords))
+    return np.sum(np.log(_ldl_pivots(algebra, coords)), axis=-1)
 
 
-def _log_det(x):
-    """log det of an element (a float), or the sum of logs along the last axis
-    of an array of Jordan eigenvalues or LDL^H pivots."""
-    if isinstance(x, Element):
-        return float(_log_det_batch(x.algebra, x.coords[None])[0])
-    return np.sum(np.log(x), axis=-1)
+def _log_det(x: Element) -> float:
+    """log det of one element, through :func:`_log_det_batch`."""
+    return float(_log_det_batch(x.algebra, x.coords[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +527,7 @@ def _cone_map(algebra: Algebra, coords: np.ndarray, fn, what: str) -> np.ndarray
     """``fn`` of the spectrum of each row of a (N, dim) batch, which must lie
     in the open cone; one spectral pass both checks and maps."""
     spectrum = _Spectrum(algebra, coords, vectors=True)
-    inside = _in_open_cone(spectrum.eigs)
-    if not inside.all():
-        first = spectrum.eigs[np.argmin(inside)]
-        _require_open_cone(first, f"{what} requested outside the open cone")
+    _require_open_cone(spectrum.eigs, f"{what} requested outside the open cone")
     return spectrum.map(fn)
 
 

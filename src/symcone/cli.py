@@ -14,6 +14,7 @@ import importlib.resources
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -217,10 +218,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     _out_args(p)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
 
 
 def parse(argv) -> Command:
@@ -431,11 +428,13 @@ _RUNNERS = {
 
 
 def run(cmd: Command) -> int:
-    """Dispatch a parsed command; prints the report (a CSV buffer as it is,
-    any other document as strict JSON) and returns the exit code.
+    """Dispatch a parsed command; writes the report (a CSV buffer as it is,
+    any other document as strict JSON) to --out, then stdout, and returns
+    the exit code.
 
     Floating-point warnings are silenced: a non-finite result is refused by
-    the strict JSON encoder or by the stage that computed it, with one line.
+    the strict JSON encoder or by the stage that computed it, with one line;
+    so is an output that cannot be written (a bad --out, a closed pipe).
     """
     ns = cmd.options
     algebra = Algebra.from_spec(ns.algebra)
@@ -449,10 +448,18 @@ def run(cmd: Command) -> int:
     ) as exc:
         print(f"symcone {cmd.subcommand}: {exc}", file=sys.stderr)
         return 1
-    print(output)
-    if getattr(ns, "out", None):
-        with open(ns.out, "w") as fh:
-            fh.write(output + "\n")
+    try:
+        if getattr(ns, "out", None):
+            with open(ns.out, "w") as fh:
+                fh.write(output + "\n")
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"symcone {cmd.subcommand}: output: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: the exit-time flush of what is left goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from . import wishart
 from .algebra import (
     Element,
+    _in_open_cone_ldl,
     _inv_sqrt_batch,
-    _ldl_pivots,
     _log_det_batch,
     _unit_coords,
     inner,
@@ -334,16 +334,10 @@ def generate_pexider_samples(algebra, lam: Element, b: float, c: float, count: i
 # sweep sampling
 # ---------------------------------------------------------------------------
 
-def _within_margin(algebra, coords: np.ndarray, margin: float) -> np.ndarray:
-    """Whether lambda_min(x) > margin tr(x) for each row of a (N, dim) batch:
-    true exactly when every LDL^H pivot of x - margin tr(x) e is > 0."""
-    shifted = coords - margin * traces_batch(algebra, coords)[:, None] * _unit_coords(algebra)
-    return (_ldl_pivots(algebra, shifted) > 0.0).all(axis=1)
-
-
 def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: float = 1e-6):
-    """Standard Wishart draws filtered to a strict relative cone margin, so
-    log det evaluations stay far from the boundary blow-up."""
+    """Standard Wishart draws that pass the open-cone rule at ``margin``
+    (lambda_min > margin tr), so log det evaluations stay far from the
+    boundary blow-up."""
     # a shape comfortably above the density threshold, so log det stays tame
     params = WishartParams.isotropic(algebra, algebra.dim / algebra.rank + 1.0)
     rows: list[np.ndarray] = []
@@ -351,7 +345,7 @@ def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: 
         batch = wishart.sample(
             params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
         )
-        rows.extend(batch.coords[_within_margin(algebra, batch.coords, margin)])
+        rows.extend(batch.coords[_in_open_cone_ldl(algebra, batch.coords, margin)])
         if len(rows) >= count:
             return [Element(algebra, row) for row in rows[:count]]
     raise RuntimeError("cone-margin filtering rejected too many draws")

@@ -11,29 +11,31 @@ from .algebra import (
     EPS_CONE,
     Algebra,
     Element,
-    _in_open_cone,
+    _in_open_cone_ldl,
     _require_open_cone,
+    _unit_coords,
     eigenvalues,
     inner,
-    unit,
 )
 from .errors import NotInCone
 
 
 def contains_open(x: Element, eps: float = EPS_CONE) -> bool:
-    """True iff every Jordan eigenvalue exceeds eps times the spectral radius."""
-    return bool(_in_open_cone(eigenvalues(x), eps))
+    """True iff lambda_min(x) > eps tr(x), the open-cone rule (on LDL^H pivots)."""
+    return bool(_in_open_cone_ldl(x.algebra, x.coords[None], eps)[0])
 
 
 def contains_closure(x: Element, eps: float = EPS_CONE) -> bool:
-    """True iff every Jordan eigenvalue is >= -eps times the spectral radius."""
+    """True iff lambda_min(x) >= -eps tr(x).  Decided on the eigenvalues: a
+    singular point of the closure has no usable LDL^H pivots."""
     w = eigenvalues(x)
-    return float(w.min()) >= -eps * float(np.abs(w).max())
+    return float(w.min()) >= -eps * float(w.sum())
 
 
 def in_domain_D(u: Element, eps: float = EPS_CONE) -> bool:
-    """True iff all eigenvalues of u lie strictly inside (0, 1)."""
-    return contains_open(u, eps) and contains_open(unit(u.algebra) - u, eps)
+    """True iff u and e - u both pass the open-cone rule: one pivot call on both."""
+    rows = np.stack([u.coords, _unit_coords(u.algebra) - u.coords])
+    return bool(_in_open_cone_ldl(u.algebra, rows, eps).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +54,9 @@ class ConeElement:
 
     @classmethod
     def certify(cls, element: Element, eps: float = EPS_CONE) -> "ConeElement":
+        """lambda_min > eps tr, on the eigenvalues: the certificate caches the smallest."""
         what = f"element is not in the open cone of {element.algebra.spec_string()}"
-        return cls(element, _require_open_cone(eigenvalues(element), what, eps))
+        return cls(element, float(_require_open_cone(eigenvalues(element), what, eps)[0]))
 
     @property
     def algebra(self) -> Algebra:

@@ -23,15 +23,14 @@ from .algebra import (
     Algebra,
     Element,
     _in_open_cone,
-    _log_det,
     _log_det_batch,
+    _require_open_cone,
     _Spectrum,
     eigvals_batch,
     eigenvalues,
     inv_sqrt_in_cone,
     quadratic_action,
     quadratic_action_batch,
-    traces_batch,
     unit,
 )
 from .errors import NotInCone
@@ -60,15 +59,9 @@ def split(x, y, margin: float = DEFAULT_MARGIN) -> SplitPair:
     ye = y.element if isinstance(y, ConeElement) else y
     v = xe + ye
     spectrum = _Spectrum(v.algebra, v.coords[None], vectors=True)
-    eigs = spectrum.eigs[0]
-    tr = float(eigs.sum())
-    if not _in_open_cone(eigs, margin, scale=tr):
-        raise NotInCone(
-            f"sum of the pair fails the strict cone margin "
-            f"(min eigenvalue {eigs.min():.3e}, trace {tr:.3e})"
-        )
+    low = _require_open_cone(spectrum.eigs, "sum of the pair fails the strict cone margin", margin)
     (u,) = _split_parts(v.algebra, spectrum, xe.coords)
-    return SplitPair(v=ConeElement(v, float(eigs.min())), u=Element(v.algebra, u[0]))
+    return SplitPair(v=ConeElement(v, float(low[0])), u=Element(v.algebra, u[0]))
 
 
 def _split_parts(algebra: Algebra, spectrum, *parts: np.ndarray) -> list[np.ndarray]:
@@ -130,9 +123,8 @@ def _draw_pairs_with_margin(params1, params2, n, seed, margin, workers):
     alg = params1.algebra
     resampled = 0
     for attempt in range(100):
-        v = x + y
-        spectrum = _Spectrum(alg, v, vectors=True)
-        bad = ~_in_open_cone(spectrum.eigs, margin, scale=traces_batch(alg, v))
+        spectrum = _Spectrum(alg, x + y, vectors=True)
+        bad = ~_in_open_cone(spectrum.eigs, margin)
         n_bad = int(bad.sum())
         if n_bad == 0:
             return x, y, resampled, spectrum
@@ -360,7 +352,6 @@ def density_factorization_check(
     rows = np.column_stack([coords, _log_det_batch(alg, coords), np.ones(len(coords))])
     solution, residual = _least_squares(rows, values, alg.dim + 2, "grid")
     q = alg.dim / alg.rank
-    expected_c = p * _log_det(a.element) - wishart.log_multivariate_gamma(alg, p)
     return FactorizationReport(
         algebra=alg.spec_string(),
         p=p,
@@ -369,7 +360,7 @@ def density_factorization_check(
         log_constant=float(solution[alg.dim + 1]),
         expected_lambda=[-float(c) for c in a.coords],
         expected_k=p - q,
-        expected_log_constant=expected_c,
+        expected_log_constant=params._log_norm,
         max_residual=residual,
         n_grid=len(grid),
     )

@@ -44,10 +44,10 @@ from .algebra import (
     AlgebraKind,
     Element,
     _hermitian_part,
-    _in_open_cone,
-    _ldl_pivots,
+    _in_open_cone_ldl,
     _log_det,
-    _require_open_cone,
+    _log_det_batch,
+    _unit_coords,
     eigvals_batch,
     eigenvalues,
     inner,
@@ -118,14 +118,9 @@ class WishartParams:
                 f"shape p={self.p} out of range for {self.algebra.spec_string()}: "
                 f"requires p > {thr} (= dim/r - 1)"
             )
-        # scale-dependent density constants, computed once (hot loops)
-        log_det_a = _log_det(self.a.element)
-        object.__setattr__(self, "_log_det_a", log_det_a)
-        object.__setattr__(
-            self,
-            "_log_norm",
-            self.p * log_det_a - log_multivariate_gamma(self.algebra, self.p),
-        )
+        # the scale-dependent density constant, computed once (hot loops)
+        log_norm = self.p * _log_det(self.a.element) - log_multivariate_gamma(self.algebra, self.p)
+        object.__setattr__(self, "_log_norm", log_norm)
 
     @classmethod
     def isotropic(cls, algebra: Algebra, p: float, scale: float = 1.0) -> "WishartParams":
@@ -135,14 +130,10 @@ class WishartParams:
 def _log_density_batch(params: WishartParams, coords: np.ndarray) -> np.ndarray:
     """Log density at each row of a (N, dim) batch; -inf off the open cone."""
     alg = params.algebra
-    eigs = eigvals_batch(alg, coords)
-    inside = _in_open_cone(eigs)
+    inside = _in_open_cone_ldl(alg, coords)
     q = alg.dim / alg.rank
-    values = (
-        params._log_norm
-        + (params.p - q) * _log_det(np.where(inside[:, None], eigs, 1.0))
-        - coords @ params.a.coords
-    )
+    log_det = _log_det_batch(alg, np.where(inside[:, None], coords, _unit_coords(alg)))
+    values = params._log_norm + (params.p - q) * log_det - coords @ params.a.coords
     return np.where(inside, values, -np.inf)
 
 
@@ -161,9 +152,12 @@ def laplace_transform(params: WishartParams, t: Element) -> float:
     alg = params.algebra
     w_half = inv_sqrt_in_cone(params.a.element)
     arg = unit(alg) + quadratic_action(w_half, t)
-    eigs = eigenvalues(arg)
-    _require_open_cone(eigs, "e + P(a^(-1/2)) t left the open cone", 0.0, OutOfRegion)
-    return _exp(-params.p * _log_det(eigs), "Laplace transform")
+    # the region check on the LDL^H pivots; the spectrum only for the message
+    if not _in_open_cone_ldl(alg, arg.coords[None], 0.0)[0]:
+        raise OutOfRegion(
+            f"e + P(a^(-1/2)) t left the open cone (min eigenvalue {eigenvalues(arg).min():.3e})"
+        )
+    return _exp(-params.p * _log_det(arg), "Laplace transform")
 
 
 def mean(params: WishartParams) -> Element:
@@ -379,8 +373,8 @@ def sample(
             fill(entry)
 
     coords = _transport(params, coords)
-    # the certificate: every LDL^H pivot > 0; the spectrum only for the message
-    if not (_ldl_pivots(alg, coords) > 0.0).all():
+    # the certificate on the LDL^H pivots; the spectrum only for the message
+    if not _in_open_cone_ldl(alg, coords, 0.0).all():
         raise NotInCone(
             f"sampler produced a draw outside the open cone (min eigenvalue "
             f"{eigvals_batch(alg, coords)[:, 0].min():.3e}); "

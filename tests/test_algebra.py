@@ -14,8 +14,10 @@ from symcone.algebra import (
     Algebra,
     AlgebraKind,
     Element,
+    EPS_CONE,
     LinearMap,
     _in_open_cone,
+    _in_open_cone_ldl,
     _ldl_pivots,
     _log_det_batch,
     _unit_coords,
@@ -34,10 +36,12 @@ from symcone.algebra import (
     quadratic_action_batch,
     sqrt_in_cone,
     trace,
+    traces_batch,
     unit,
 )
 from symcone.errors import AlgebraMismatch, DimensionMismatch, NotInCone, SingularElement
 from symcone.funceq import sample_cone_pairs
+from symcone.geometry import ConeElement, contains_open
 
 SYM2 = Algebra.sym_real(2)
 HERM2 = Algebra.herm_complex(2)
@@ -303,6 +307,20 @@ def test_log_det_is_accurate_on_ill_conditioned_points():
     assert err.max() < 1e-10
 
 
+def _shift_to_ratio(alg, x, ratio):
+    """x - s e, row by row, with lambda_min(x - s e) = ratio * tr(x - s e)."""
+    s = (eigvals_batch(alg, x)[:, 0] - ratio * traces_batch(alg, x)) / (1.0 - ratio * alg.rank)
+    return x - s[:, None] * _unit_coords(alg)
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except NotInCone:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5", "lorentz:4"])
 def test_ldl_certificate_agrees_with_eigenvalues(spec):
     alg = Algebra.from_spec(spec)
@@ -310,17 +328,29 @@ def test_ldl_certificate_agrees_with_eigenvalues(spec):
     p = wishart.shape_threshold(alg) + 0.05
     draws = wishart._standard_chunk_coords(alg, p, 4000, np.random.default_rng(5))
     w = eigvals_batch(alg, draws)
-    by_pivots = (_ldl_pivots(alg, draws) > 0.0).all(axis=1)
+    by_pivots = _in_open_cone_ldl(alg, draws, 0.0)
     # both verdicts are rounding noise where lambda_min is ~eps of the radius
     decided = np.abs(w[:, 0]) > 1e-13 * np.abs(w).max(axis=1)
     assert (~decided).any()
     assert np.array_equal(by_pivots[decided], _in_open_cone(w, 0.0)[decided])
-    # shifted by just under and just over lambda_min e: both sides of the boundary
-    clear = w[:, 0] > 1e-6 * w[:, -1]
-    for factor, inside in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
-        shifted = draws[clear] - factor * w[clear, :1] * _unit_coords(alg)
-        assert (_in_open_cone(eigvals_batch(alg, shifted), 0.0) == inside).all()
-        assert ((_ldl_pivots(alg, shifted) > 0.0).all(axis=1) == inside).all()
+    # the one rule lambda_min > eps tr on both sides of its boundary, through
+    # every entry point: shifted to lambda_min = (1 +- 1e-3) eps tr (at eps = 0,
+    # to +-1e-9 tr); the scalar entry points on the first 100 rows of each side
+    clear = draws[w[:, 0] > 1e-6 * w[:, -1]]
+    params = wishart.WishartParams.isotropic(alg, p)
+    for eps in (0.0, EPS_CONE, 1e-9, 1e-6):
+        for factor, inside in ((1.0 + 1e-3, True), (1.0 - 1e-3, False)):
+            ratio = eps * factor if eps else (1e-9 if inside else -1e-9)
+            shifted = _shift_to_ratio(alg, clear, ratio)
+            assert (_in_open_cone(eigvals_batch(alg, shifted), eps) == inside).all()
+            assert (_in_open_cone_ldl(alg, shifted, eps) == inside).all()
+            for row in shifted[:100]:
+                x = Element(alg, row)
+                assert contains_open(x, eps) == inside
+                assert _raises(ConeElement.certify, x, eps) != inside
+                if eps == EPS_CONE:
+                    assert _raises(sqrt_in_cone, x) != inside
+                    assert np.isfinite(wishart.log_density(params, x)) == inside
 
 
 def test_ldl_pivots_off_the_cone():

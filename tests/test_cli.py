@@ -269,6 +269,40 @@ def test_missing_file_is_runtime_error(capsys):
     assert "density" in err
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_one_output_line(target, tmp_path):
+    out = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcone.cli", "algebra-info", "--algebra", "symr:2",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    # --out is written first, so its failure leaves stdout empty
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("symcone algebra-info: output: "), proc.stderr
+
+
+def test_closed_stdout_pipe_is_one_output_line():
+    # the reader leaves after 100 bytes, as `head -c 100` does; the JSON is ~230 kB
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symcone.cli", "sample", "--algebra", "symr:3", "--p", "4",
+         "--n", "2000", "--seed", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert head.startswith(b'{"format": "symcone-samples"')
+    # no traceback, and no "Exception ignored" line from the exit-time flush
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("symcone sample: output: "), err
+
+
 @pytest.mark.parametrize(
     "text,named",
     [

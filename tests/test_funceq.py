@@ -7,8 +7,11 @@ import pytest
 from _utils import rel_err
 from symcone import eigh, wishart
 from symcone.algebra import (
+    EPS_CONE,
     Algebra,
     Element,
+    _in_open_cone,
+    _in_open_cone_ldl,
     _ldl_pivots,
     _log_det,
     eigenvalues,
@@ -24,7 +27,6 @@ from symcone.funceq import (
     ScalarField,
     SolutionFamily,
     _evaluate,
-    _within_margin,
     cauchy_difference,
     cocycle_residual,
     generate_pexider_samples,
@@ -42,7 +44,7 @@ from symcone.funceq import (
     wishart_dictionary,
     with_injected_defect,
 )
-from symcone.geometry import ConeElement
+from symcone.geometry import ConeElement, contains_open, in_domain_D
 from symcone.harness import split, split_batch
 
 SYM1 = Algebra.sym_real(1)
@@ -291,13 +293,13 @@ def test_margin_filter_agrees_with_eigenvalues(spec):
     p = wishart.shape_threshold(alg) + 0.05
     draws = wishart._standard_chunk_coords(alg, p, 4000, np.random.default_rng(9))
     w = eigvals_batch(alg, draws)
-    for margin in (1e-6, 1e-3, 1e-2):
-        bound = margin * traces_batch(alg, draws)
-        kept = w[:, 0] > bound
+    for margin in (EPS_CONE, 1e-9, 1e-6, 1e-3, 1e-2):
+        kept = _in_open_cone(w, margin)
         assert 0 < kept.sum() < len(draws)
         # skip rows whose gap to the margin is at the rounding level
-        decided = np.abs(w[:, 0] - bound) > 1e-13 * np.abs(w).max(axis=1)
-        by_pivots = _within_margin(alg, draws, margin)
+        gap = w[:, 0] - margin * traces_batch(alg, draws)
+        decided = np.abs(gap) > 1e-13 * np.abs(w).max(axis=1)
+        by_pivots = _in_open_cone_ldl(alg, draws, margin)
         assert np.array_equal(by_pivots[decided], kept[decided])
 
 
@@ -384,6 +386,35 @@ def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
             sweep(*inputs[n])
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, name
+
+
+def test_cone_decisions_make_no_eigensolver_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return jacobi_eigh_batch(*args, **kwargs)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    jacobi_eigh_batch = eigh.jacobi_eigh_batch
+    monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting)
+    for spec in ("symr:3", "hermc:3"):
+        alg = Algebra.from_spec(spec)
+        params = wishart.WishartParams.isotropic(alg, 4.0)
+        dictionary = wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(alg)))
+        pairs = sample_cone_pairs(alg, 50, seed=3)
+        x = pairs[0][0]
+        assert count(wishart.log_density, params, x) == 0
+        assert count(contains_open, x) == 0
+        assert count(in_domain_D, 0.5 * unit(alg)) == 0
+        # the one spectral map is a^(-1/2)
+        assert count(wishart.laplace_transform, params, x) == 1
+        # split_batch diagonalises v once; the three log-density fields make no call
+        assert count(olkin_baker_residual, *dictionary, pairs) == 1
 
 
 def test_user_fields_and_maps_take_the_row_loop(sym3_pairs):
