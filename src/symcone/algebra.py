@@ -485,9 +485,7 @@ def eigenvalues(x: Element) -> np.ndarray:
 
 
 def trace(x: Element) -> float:
-    if x.algebra.kind is AlgebraKind.LORENTZ:
-        return 2.0 * float(x.coords[0])
-    return float(np.sum(x.coords[: x.algebra.param]))
+    return float(traces_batch(x.algebra, x.coords[None])[0])
 
 
 def det(x: Element) -> float:
@@ -523,22 +521,27 @@ def inverse(x: Element) -> Element:
     return Element(x.algebra, spectrum.map(lambda t: 1.0 / t)[0])
 
 
-def _cone_map(algebra: Algebra, coords: np.ndarray, fn, what: str) -> np.ndarray:
-    """``fn`` of the spectrum of each row of a (N, dim) batch, which must lie
-    in the open cone; one spectral pass both checks and maps."""
-    spectrum = _Spectrum(algebra, coords, vectors=True)
+def _cone_map(spectrum: _Spectrum, fn, what: str) -> np.ndarray:
+    """``fn`` of each row of a spectrum with eigenvectors, whose rows must lie
+    in the open cone: the one check-and-map of every cone power."""
     _require_open_cone(spectrum.eigs, f"{what} requested outside the open cone")
     return spectrum.map(fn)
 
 
 def sqrt_in_cone(x: Element) -> Element:
     """The unique square root inside the open cone."""
-    return Element(x.algebra, _cone_map(x.algebra, x.coords[None], np.sqrt, "square root")[0])
+    spectrum = _Spectrum(x.algebra, x.coords[None], vectors=True)
+    return Element(x.algebra, _cone_map(spectrum, np.sqrt, "square root")[0])
+
+
+def _inv_sqrt(spectrum: _Spectrum) -> np.ndarray:
+    """x^{-1/2} of each row of a spectrum; same domain as :func:`sqrt_in_cone`."""
+    return _cone_map(spectrum, lambda t: 1.0 / np.sqrt(t), "inverse square root")
 
 
 def _inv_sqrt_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
-    """x^{-1/2} of each row of a (N, dim) batch; same domain as :func:`sqrt_in_cone`."""
-    return _cone_map(algebra, coords, lambda t: 1.0 / np.sqrt(t), "inverse square root")
+    """x^{-1/2} of each row of a (N, dim) batch, from one spectral pass."""
+    return _inv_sqrt(_Spectrum(algebra, coords, vectors=True))
 
 
 def inv_sqrt_in_cone(x: Element) -> Element:

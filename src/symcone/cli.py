@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import funceq, harness, wishart
-from .algebra import Algebra, Element, _log_det_batch, traces_batch, unit
+from . import funceq, harness, rng, wishart
+from .algebra import Algebra, Element, unit
 from .errors import NotInCone, OutOfRegion, PoleError, SingularElement
 from .geometry import ConeElement
 
@@ -40,9 +40,7 @@ SCHEMAS = {
 _FIELDS = {
     "logdet": funceq.log_det_field,
     "trace": funceq.trace_field,
-    "det-over-trace": lambda: funceq.ScalarField(funceq._Kernel(
-        lambda alg, x: _log_det_batch(alg, x) - alg.rank * np.log(traces_batch(alg, x))
-    )),
+    "det-over-trace": funceq.det_over_trace_field,
 }
 
 
@@ -82,7 +80,8 @@ def _algebra_spec(text: str) -> str:
 
 _FINITE = _checked(float, math.isfinite, "finite")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
-_NONNEGATIVE = _checked(int, lambda v: v >= 0, "nonnegative")
+_SEED = _checked(int, lambda v: 0 <= v < rng.SEED_LIMIT, f"in [0, {rng.SEED_LIMIT})")
+_STREAM = _checked(int, lambda v: 0 <= v < rng.STREAM_LIMIT, f"in [0, {rng.STREAM_LIMIT})")
 
 
 def _algebra_arg(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +108,7 @@ def _experiment_args(parser):
     parser.add_argument("--p1", type=_FINITE, default=4.0)
     parser.add_argument("--p2", type=_FINITE, default=4.0)
     parser.add_argument("--n", type=_AT_LEAST_1, default=10000)
-    parser.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    parser.add_argument("--seed", type=_SEED, default=0)
     parser.add_argument(
         "--level", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05
     )
@@ -148,8 +147,8 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     _algebra_arg(p)
     p.add_argument("--p", type=_FINITE, required=True, help="shape parameter")
     p.add_argument("--n", type=_AT_LEAST_1, required=True, help="number of draws")
-    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
-    p.add_argument("--stream", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, required=True)
+    p.add_argument("--stream", type=_STREAM, default=0)
     p.add_argument("--workers", type=_AT_LEAST_1, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _scale_args(p)
@@ -206,7 +205,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--p2", type=_FINITE, default=3.0)
     _scale_args(p)
     p.add_argument("--n-pairs", type=_AT_LEAST_1, default=1000)
-    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument(
         "--tol", type=_checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
         default=1e-10,

@@ -91,6 +91,12 @@ def trace_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
     return ScalarField(_Kernel(lambda alg, x: coefficient * traces_batch(alg, x)), domain)
 
 
+def det_over_trace_field() -> ScalarField:
+    """log det(x) - r log tr(x), homogeneous of order zero."""
+    return ScalarField(_Kernel(lambda alg, x: _log_det_batch(alg, x)
+                               - alg.rank * np.log(traces_batch(alg, x))))
+
+
 def linear_field(lam: Element, domain: str = "V") -> ScalarField:
     return ScalarField(_Kernel(lambda alg, x: x @ lam.coords), domain)
 

@@ -4,6 +4,7 @@ domain D = {u : u and e - u both lie in the open cone}."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,8 +12,11 @@ from .algebra import (
     EPS_CONE,
     Algebra,
     Element,
+    _cone_map,
     _in_open_cone_ldl,
+    _inv_sqrt,
     _require_open_cone,
+    _Spectrum,
     _unit_coords,
     eigenvalues,
     inner,
@@ -40,8 +44,8 @@ def in_domain_D(u: Element, eps: float = EPS_CONE) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ConeElement:
-    """An element certified to lie in the open cone, with its min eigenvalue
-    cached so hot loops do not recompute spectra."""
+    """An element certified to lie in the open cone, with its min eigenvalue and
+    its spectrum (with eigenvectors) cached so hot loops do not recompute spectra."""
 
     element: Element
     min_eigenvalue: float
@@ -54,9 +58,22 @@ class ConeElement:
 
     @classmethod
     def certify(cls, element: Element, eps: float = EPS_CONE) -> "ConeElement":
-        """lambda_min > eps tr, on the eigenvalues: the certificate caches the smallest."""
+        """lambda_min > eps tr, on the spectrum, which the certificate keeps."""
+        spectrum = _Spectrum(element.algebra, element.coords[None], vectors=True)
         what = f"element is not in the open cone of {element.algebra.spec_string()}"
-        return cls(element, float(_require_open_cone(eigenvalues(element), what, eps)[0]))
+        cone = cls(element, float(_require_open_cone(spectrum.eigs, what, eps)[0]))
+        object.__setattr__(cone, "_spectrum", spectrum)
+        return cone
+
+    _spectrum = cached_property(lambda c: _Spectrum(c.algebra, c.coords[None], vectors=True))
+
+    def inv_sqrt(self) -> Element:
+        """a^(-1/2), from the cached spectrum."""
+        return Element(self.algebra, _inv_sqrt(self._spectrum)[0])
+
+    def inverse(self) -> Element:
+        """a^(-1), from the cached spectrum."""
+        return Element(self.algebra, _cone_map(self._spectrum, lambda t: 1.0 / t, "inverse")[0])
 
     @property
     def algebra(self) -> Algebra:

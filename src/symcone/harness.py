@@ -22,13 +22,11 @@ from . import dcor, rng, wishart
 from .algebra import (
     Algebra,
     Element,
-    _in_open_cone,
+    _in_open_cone_ldl,
+    _inv_sqrt_batch,
     _log_det_batch,
-    _require_open_cone,
-    _Spectrum,
     eigvals_batch,
     eigenvalues,
-    inv_sqrt_in_cone,
     quadratic_action,
     quadratic_action_batch,
     unit,
@@ -57,33 +55,23 @@ def split(x, y, margin: float = DEFAULT_MARGIN) -> SplitPair:
     boundary for a stable inverse square root."""
     xe = x.element if isinstance(x, ConeElement) else x
     ye = y.element if isinstance(y, ConeElement) else y
-    v = xe + ye
-    spectrum = _Spectrum(v.algebra, v.coords[None], vectors=True)
-    low = _require_open_cone(spectrum.eigs, "sum of the pair fails the strict cone margin", margin)
-    (u,) = _split_parts(v.algebra, spectrum, xe.coords)
-    return SplitPair(v=ConeElement(v, float(low[0])), u=Element(v.algebra, u[0]))
-
-
-def _split_parts(algebra: Algebra, spectrum, *parts: np.ndarray) -> list[np.ndarray]:
-    """P(v^(-1/2)) applied to each coordinate array in ``parts``, from the
-    spectrum (with eigenvectors) of the sums v; v must lie in the open cone."""
-    outside = ~_in_open_cone(spectrum.eigs, 0.0)
-    if outside.any():
-        raise NotInCone(f"{int(outside.sum())} pair sums fall outside the open cone")
-    s = spectrum.map(lambda t: 1.0 / np.sqrt(t))
-    return [quadratic_action_batch(algebra, s, part) for part in parts]
+    try:
+        v = ConeElement.certify(xe + ye, margin)
+    except NotInCone as exc:
+        raise NotInCone(f"sum of the pair fails the strict cone margin {margin:g}: {exc}") from None
+    return SplitPair(v=v, u=quadratic_action(v.inv_sqrt(), xe))
 
 
 def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray):
     """Vectorized split of paired coordinate batches.
 
     Returns (v, u, u_comp) coordinate arrays where u_comp is the image of y
-    (so u + u_comp = e identically).  Sums must lie in the open cone; no
-    margin filtering happens here beyond that.
+    (so u + u_comp = e identically).  Sums must pass the open-cone rule at
+    EPS_CONE; no margin filtering happens here beyond that.
     """
     v = x_coords + y_coords
-    u, u_comp = _split_parts(algebra, _Spectrum(algebra, v, vectors=True), x_coords, y_coords)
-    return v, u, u_comp
+    s = _inv_sqrt_batch(algebra, v)
+    return v, *(quadratic_action_batch(algebra, s, part) for part in (x_coords, y_coords))
 
 
 @dataclass(eq=False)
@@ -116,18 +104,16 @@ class IndependenceReport:
 
 
 def _draw_pairs_with_margin(params1, params2, n, seed, margin, workers):
-    """Paired draws with near-boundary sums replaced from a dedicated stream;
-    returns (x, y, resampled, spectrum of the final v = x + y with vectors)."""
+    """Paired draws with near-boundary sums replaced from a dedicated stream,
+    the margin decided on the LDL^H pivots of v = x + y; returns (x, y, resampled)."""
     x = np.array(wishart.sample(params1, n, seed, stream=0, workers=workers).coords)
     y = np.array(wishart.sample(params2, n, seed, stream=1, workers=workers).coords)
-    alg = params1.algebra
     resampled = 0
     for attempt in range(100):
-        spectrum = _Spectrum(alg, x + y, vectors=True)
-        bad = ~_in_open_cone(spectrum.eigs, margin)
+        bad = ~_in_open_cone_ldl(params1.algebra, x + y, margin)
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return x, y, resampled, spectrum
+            return x, y, resampled
         resampled += n_bad
         x[bad] = wishart.sample(
             params1, n_bad, seed, stream=2 * attempt, _purpose=rng.PURPOSE_RESAMPLE
@@ -154,11 +140,8 @@ def _run_experiment(
     if n < MIN_EXPERIMENT_SAMPLES:
         raise ValueError(f"experiments need n >= {MIN_EXPERIMENT_SAMPLES} samples")
     alg = params1.algebra
-    x, y, resampled, spectrum = _draw_pairs_with_margin(
-        params1, params2, n, seed, margin, workers
-    )
-    v = x + y
-    u, u_comp = _split_parts(alg, spectrum, x, y)
+    x, y, resampled = _draw_pairs_with_margin(params1, params2, n, seed, margin, workers)
+    v, u, u_comp = split_batch(alg, x, y)
 
     # u_comp = e - u, so its eigenvalues are 1 - eig(u); the residual checks that
     u_eigs = eigvals_batch(alg, u)
@@ -232,9 +215,7 @@ def forward_experiment(
 
 def relative_scale_gap(a1: ConeElement, a2: ConeElement) -> float:
     """max |eig(P(a1^(-1/2)) a2) - 1|, zero iff the scales coincide."""
-    w = inv_sqrt_in_cone(a1.element)
-    rel = quadratic_action(w, a2.element)
-    return float(np.abs(eigenvalues(rel) - 1.0).max())
+    return float(np.abs(eigenvalues(quadratic_action(a1.inv_sqrt(), a2.element)) - 1.0).max())
 
 
 def negative_experiment(

@@ -21,12 +21,14 @@ CHUNK_SIZE = 4096
 
 _STREAM_BITS = 22
 _CHUNK_BITS = 22
+SEED_LIMIT = 2**64
+STREAM_LIMIT = 2**_STREAM_BITS
 
 
 def philox_key(seed: int, purpose: int, stream: int = 0, chunk: int = 0) -> np.ndarray:
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < SEED_LIMIT:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not 0 <= stream < 2**_STREAM_BITS:
+    if not 0 <= stream < STREAM_LIMIT:
         raise ValueError(f"stream must lie in [0, 2^{_STREAM_BITS})")
     if not 0 <= chunk < 2**_CHUNK_BITS:
         raise ValueError(f"chunk index must lie in [0, 2^{_CHUNK_BITS})")

@@ -51,7 +51,6 @@ from .algebra import (
     eigvals_batch,
     eigenvalues,
     inner,
-    inv_sqrt_in_cone,
     mats_to_coords,
     quadratic_action,
     quadratic_action_batch,
@@ -150,8 +149,7 @@ def laplace_transform(params: WishartParams, t: Element) -> float:
     if t.algebra != params.algebra:
         raise ValueError("transform argument belongs to a different algebra")
     alg = params.algebra
-    w_half = inv_sqrt_in_cone(params.a.element)
-    arg = unit(alg) + quadratic_action(w_half, t)
+    arg = unit(alg) + quadratic_action(params.a.inv_sqrt(), t)
     # the region check on the LDL^H pivots; the spectrum only for the message
     if not _in_open_cone_ldl(alg, arg.coords[None], 0.0)[0]:
         raise OutOfRegion(
@@ -161,9 +159,7 @@ def laplace_transform(params: WishartParams, t: Element) -> float:
 
 
 def mean(params: WishartParams) -> Element:
-    from .algebra import inverse  # local import keeps module top uncluttered
-
-    return mean_scale_factor(params.algebra) * params.p * inverse(params.a.element)
+    return mean_scale_factor(params.algebra) * params.p * params.a.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +213,6 @@ def _standard_chunk_coords(algebra: Algebra, p: float, m: int, gen) -> np.ndarra
     if algebra.kind is AlgebraKind.LORENTZ:
         return _lorentz_chunk(algebra, p, m, gen)
     return mats_to_coords(algebra, _bartlett_chunk(algebra, p, m, gen))
-
-
-def _transport(params: WishartParams, coords: np.ndarray) -> np.ndarray:
-    """Map standard draws to scale a by the quadratic representation of a^(-1/2)."""
-    w_half = inv_sqrt_in_cone(params.a.element)
-    return quadratic_action_batch(params.algebra, w_half.coords, coords)
 
 
 @dataclass(eq=False)
@@ -372,7 +362,8 @@ def sample(
         for entry in layout:
             fill(entry)
 
-    coords = _transport(params, coords)
+    # standard draws to scale a by the quadratic representation of a^(-1/2)
+    coords = quadratic_action_batch(alg, params.a.inv_sqrt().coords, coords)
     # the certificate on the LDL^H pivots; the spectrum only for the message
     if not _in_open_cone_ldl(alg, coords, 0.0).all():
         raise NotInCone(

@@ -100,6 +100,19 @@ def test_parse_valid_sample_command():
             ["verify-negative", "--algebra", "symr:2", "--max-stat-samples", "1"], "got 1",
             id="max-stat-samples-1",
         ),
+        # the random streams' key limits: a seed below 2^64, a stream below 2^22
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "3", "--n", "10", "--seed", "0",
+             "--stream", "-1"], "got -1", id="stream-negative",
+        ),
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "3", "--n", "10", "--seed", "0",
+             "--stream", "4194304"], "got 4194304", id="stream-2-22",
+        ),
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "3", "--n", "10",
+             "--seed", "18446744073709551616"], "got 18446744073709551616", id="seed-2-64",
+        ),
     ],
 )
 def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):

@@ -167,3 +167,13 @@ def test_package_never_calls_lapack():
     for path in sorted(Path(symcone.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert not re.search(r"linalg|scipy", line), f"{path.name}:{number}: {line.strip()}"
+
+
+def test_spectra_are_built_and_checked_in_algebra_and_geometry():
+    # every other module asks for a map (x^(-1/2), a certified scale's powers)
+    # or a pivot decision, so each array's spectrum has one owner
+    names = re.compile(r"\b(_Spectrum|_in_open_cone|_require_open_cone)\b")
+    for path in sorted(Path(symcone.__file__).parent.glob("*.py")):
+        if path.name not in ("algebra.py", "geometry.py"):
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                assert not names.search(line), f"{path.name}:{number}: {line.strip()}"

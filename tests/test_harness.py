@@ -32,6 +32,7 @@ from symcone.wishart import WishartParams, sample
 SYM1 = Algebra.sym_real(1)
 SYM2 = Algebra.sym_real(2)
 SYM3 = Algebra.sym_real(3)
+HERM3 = Algebra.herm_complex(3)
 
 
 def cone_unit(algebra, scale=1.0):
@@ -279,3 +280,11 @@ def test_factorization_rejects_points_off_cone():
     a = cone_unit(SYM2)
     with pytest.raises(ValueError, match="open cone"):
         density_factorization_check(3.0, a, [Element(SYM2, [1.0, -1.0, 0.0])])
+
+
+def test_negative_experiment_diagonalises_each_array_once(eigh_calls):
+    # the two scale certificates, the gap's relative element, v and u: the
+    # sampler's a^(-1/2) and the mean check's a^(-1) read the certificates
+    a1, a2 = cone_unit(HERM3), cone_unit(HERM3, 3.0)
+    negative_experiment(4.0, 4.0, a1, a2, n=1000, seed=0, permutations=5, max_stat_samples=50)
+    assert eigh_calls == [1, 1, 1, 1000, 1000]

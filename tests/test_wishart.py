@@ -11,10 +11,13 @@ from _utils import random_element
 from symcone.algebra import (
     Algebra,
     Element,
+    _log_det,
     eigenvalues,
     eigvals_batch,
     inv_sqrt_in_cone,
+    inverse,
     p_map,
+    quadratic_action,
     unit,
 )
 from symcone.errors import NotInCone, OutOfRegion, PoleError
@@ -302,3 +305,25 @@ def test_csv_header_carries_metadata():
     assert "# algebra=symr:1" in text
     assert "# seed=0" in text
     assert text.splitlines()[-1].count(",") == SYM1.dim - 1
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3"])
+def test_a_scale_is_diagonalised_once(spec, eigh_calls):
+    alg = Algebra.from_spec(spec)
+    anis = unit(alg).coords.copy()
+    anis[0] = 2.0
+    scale, t = Element(alg, anis), Element(alg, 0.3 * anis)
+    for certified in (True, False):
+        eigh_calls.clear()
+        # a ConeElement built without certify diagonalises on its first map instead
+        a = ConeElement.certify(scale) if certified else ConeElement(scale, 1.0)
+        params = WishartParams(alg, 4.0, a)
+        for seed in range(3):
+            sample(params, 20, seed)
+            laplace_transform(params, t)
+            mean(params)
+        assert len(eigh_calls) == 1
+    # the same bits as a fresh a^(-1/2) and a^(-1)
+    arg = unit(alg) + quadratic_action(inv_sqrt_in_cone(a.element), t)
+    assert laplace_transform(params, t) == math.exp(-4.0 * _log_det(arg))
+    assert mean(params).coords.tobytes() == (4.0 * inverse(a.element)).coords.tobytes()
