@@ -21,13 +21,17 @@ least squares.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import wishart
 from .algebra import (
+    Algebra,
     Element,
     _in_open_cone_ldl,
     _inv_sqrt_batch,
@@ -38,7 +42,7 @@ from .algebra import (
     traces_batch,
 )
 from .eigh import jacobi_eigh
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, DimensionMismatch
 from .geometry import ConeElement
 from .rng import PURPOSE_PAIRS
 from .wishart import WishartParams
@@ -172,7 +176,7 @@ def wishart_dictionary(p1: float, p2: float, a0: ConeElement):
 # residual reports
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ResidualReport:
     equation: str
     algebra: str
@@ -200,25 +204,27 @@ def _report(equation, algebra, residuals, seed=None) -> ResidualReport:
     )
 
 
-def _stack(tuples, what: str):
-    """The algebra and one (N, dim) coordinate array per tuple position."""
+def _as_batch(tuples, what: str) -> ConeBatch:
+    """A non-empty ConeBatch passes through; any other iterable of Element
+    tuples is stacked into one."""
+    if isinstance(tuples, ConeBatch) and len(tuples):
+        return tuples
     tuples = list(tuples)
     if not tuples:
         raise ValueError(f"empty {what} list")
     algebra = tuples[0][0].algebra
     if any(p.algebra != algebra for t in tuples for p in t):
         raise AlgebraMismatch(f"{what} list mixes algebras")
-    return algebra, [np.stack(column) for column in zip(*((p.coords for p in t) for t in tuples))]
+    return ConeBatch(algebra, [np.stack(c) for c in zip(*((p.coords for p in t) for t in tuples))])
 
 
 def olkin_baker_residual(
     a: ScalarField, b: ScalarField, c: ScalarField, d: ScalarField, pairs, seed=None
 ) -> ResidualReport:
     """max/mean of |a(x) + b(y) - c(x+y) - d(u)| over cone pairs."""
-    from .harness import split_batch
-
-    algebra, (x, y) = _stack(pairs, "pair")
-    v, u, _ = split_batch(algebra, x, y)
+    pairs = _as_batch(pairs, "pair")
+    algebra, (x, y) = pairs.algebra, pairs.columns
+    v, u, _ = pairs.split
     residuals = np.abs(
         _evaluate(a, algebra, x) + _evaluate(b, algebra, y)
         - _evaluate(c, algebra, v) - _evaluate(d, algebra, u)
@@ -233,8 +239,9 @@ def log_quadratic_residual(c: ScalarField, pairs, seed=None):
 
     Returns a pair of reports (product form, conjugation form).
     """
-    algebra, (x, y) = _stack(pairs, "pair")
-    conjugated = quadratic_action_batch(algebra, _inv_sqrt_batch(algebra, y), x)
+    pairs = _as_batch(pairs, "pair")
+    algebra, (x, y) = pairs.algebra, pairs.columns
+    conjugated = quadratic_action_batch(algebra, pairs.y_inv_sqrt, x)
     points = np.concatenate([x, y, quadratic_action_batch(algebra, y, x), conjugated])
     cx, cy, c_product, c_conjugated = np.split(_evaluate(c, algebra, points), 4)
     return (
@@ -259,7 +266,8 @@ def homogeneity_defect(f: ScalarField, scales, points) -> float:
 
 def cocycle_residual(C: Callable[[Element, Element], float], triples, seed=None) -> ResidualReport:
     """Residual of C(x+y, z) + C(x, y) = C(x, y+z) + C(y, z)."""
-    algebra, (x, y, z) = _stack(triples, "triple")
+    triples = _as_batch(triples, "triple")
+    algebra, (x, y, z) = triples.algebra, triples.columns
     first = np.concatenate([x + y, x, x, y])
     second = np.concatenate([z, y, y + z, z])
     c_xy_z, c_x_y, c_x_yz, c_y_z = np.split(_evaluate(C, algebra, first, second), 4)
@@ -340,26 +348,90 @@ def generate_pexider_samples(algebra, lam: Element, b: float, c: float, count: i
 # sweep sampling
 # ---------------------------------------------------------------------------
 
-def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: float = 1e-6):
-    """Standard Wishart draws that pass the open-cone rule at ``margin``
-    (lambda_min > margin tr), so log det evaluations stay far from the
-    boundary blow-up."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class ConeBatch(Sequence):
+    """Cone pairs or triples as read-only (N, dim) coordinate columns.
+
+    It is a Sequence of Element tuples: the elements of a row are built when
+    it is indexed, and a slice is again a batch.  A pair batch (x, y) keeps
+    its split of x + y and its y^(-1/2) from first use, so every sweep over
+    the same pairs shares one diagonalisation of each.
+    """
+
+    algebra: Algebra
+    columns: tuple[np.ndarray, ...]  # any sequence of arrays; stored as read-only copies
+
+    def __post_init__(self):
+        columns = tuple(_read_only(np.array(c, dtype=float)) for c in self.columns)
+        if not columns or any(c.shape != (len(columns[0]), self.algebra.dim) for c in columns):
+            raise DimensionMismatch(
+                f"columns of shapes {[c.shape for c in columns]} are not (N, "
+                f"{self.algebra.dim}) batches of one length"
+            )
+        object.__setattr__(self, "columns", columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ConeBatch(self.algebra, [c[index] for c in self.columns])
+        index = operator.index(index)
+        return tuple(Element(self.algebra, c[index]) for c in self.columns)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, u, u_comp) of the pairs, as :func:`harness.split_batch` gives it."""
+        from .harness import split_batch
+
+        x, y = self.columns
+        return tuple(_read_only(part) for part in split_batch(self.algebra, x, y))
+
+    @cached_property
+    def y_inv_sqrt(self) -> np.ndarray:
+        """y^(-1/2) of each pair (x, y)."""
+        _, y = self.columns
+        return _read_only(_inv_sqrt_batch(self.algebra, y))
+
+
+def _sweep_columns(algebra, count: int, seed: int, streams, margin: float) -> list[np.ndarray]:
+    """For each stream, its first ``count`` standard Wishart draws that pass
+    the open-cone rule at ``margin`` (lambda_min > margin tr), so log det
+    evaluations stay far from the boundary blow-up.  The streams share one
+    certified scale."""
     # a shape comfortably above the density threshold, so log det stays tame
     params = WishartParams.isotropic(algebra, algebra.dim / algebra.rank + 1.0)
-    rows: list[np.ndarray] = []
-    for attempt in range(65):
-        batch = wishart.sample(
-            params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
-        )
-        rows.extend(batch.coords[_in_open_cone_ldl(algebra, batch.coords, margin)])
-        if len(rows) >= count:
-            return [Element(algebra, row) for row in rows[:count]]
-    raise RuntimeError("cone-margin filtering rejected too many draws")
+    columns = []
+    for stream in streams:
+        kept, found = [], 0
+        for attempt in range(65):
+            coords = wishart.sample(
+                params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
+            ).coords
+            kept.append(coords[_in_open_cone_ldl(algebra, coords, margin)])
+            found += len(kept[-1])
+            if found >= count:
+                break
+        else:
+            raise RuntimeError("cone-margin filtering rejected too many draws")
+        columns.append(np.concatenate(kept)[:count])
+    return columns
 
 
-def sample_cone_pairs(algebra, count: int, seed: int, margin: float = 1e-6):
-    return list(zip(*(sample_cone_points(algebra, count, seed, k, margin) for k in range(2))))
+def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: float = 1e-6):
+    """Standard Wishart draws that pass the open-cone rule at ``margin``."""
+    (rows,) = _sweep_columns(algebra, count, seed, [stream], margin)
+    return [Element(algebra, row) for row in rows]
 
 
-def sample_cone_triples(algebra, count: int, seed: int, margin: float = 1e-6):
-    return list(zip(*(sample_cone_points(algebra, count, seed, k, margin) for k in range(3))))
+def sample_cone_pairs(algebra, count: int, seed: int, margin: float = 1e-6) -> ConeBatch:
+    return ConeBatch(algebra, _sweep_columns(algebra, count, seed, range(2), margin))
+
+
+def sample_cone_triples(algebra, count: int, seed: int, margin: float = 1e-6) -> ConeBatch:
+    return ConeBatch(algebra, _sweep_columns(algebra, count, seed, range(3), margin))

@@ -1,17 +1,22 @@
+import ast
 import json
 import math
+from collections.abc import Sequence
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _utils import rel_err
-from symcone import eigh, wishart
+from symcone import eigh, funceq, wishart
 from symcone.algebra import (
     EPS_CONE,
     Algebra,
     Element,
     _in_open_cone,
     _in_open_cone_ldl,
+    _inv_sqrt_batch,
     _ldl_pivots,
     _log_det,
     eigenvalues,
@@ -23,6 +28,7 @@ from symcone.algebra import (
 )
 from symcone.errors import AlgebraMismatch
 from symcone.funceq import (
+    ConeBatch,
     ResidualReport,
     ScalarField,
     SolutionFamily,
@@ -279,6 +285,14 @@ def test_residual_report_serialization():
     assert set(doc) == {"equation", "algebra", "n_pairs", "max_residual", "mean_residual", "seed"}
 
 
+def test_residual_report_is_slotted():
+    report = ResidualReport("olkin-baker", "symr:3", 10, 1e-12, 1e-13)
+    assert not hasattr(report, "__dict__")
+    report.equation = "olkin-baker-wishart"
+    assert asdict(report)["equation"] == "olkin-baker-wishart"
+    assert json.loads(report.to_json())["equation"] == "olkin-baker-wishart"
+
+
 def test_scalar_field_domain_tag():
     with pytest.raises(ValueError):
         ScalarField(lambda x: 0.0, domain="X")
@@ -435,6 +449,8 @@ def test_user_fields_and_maps_take_the_row_loop(sym3_pairs):
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         olkin_baker_residual(*make_regular_solution(FAMILIES[0]), [])
+    with pytest.raises(ValueError):
+        log_quadratic_residual(log_det_field(), sample_cone_pairs(SYM3, 10, seed=0)[:0])
 
 
 def test_mixed_algebras_rejected():
@@ -442,3 +458,85 @@ def test_mixed_algebras_rejected():
     pairs = [(unit(SYM2), unit(Algebra.lorentz(2)))]
     with pytest.raises(AlgebraMismatch):
         log_quadratic_residual(log_det_field(), pairs)
+
+
+# ---------------------------------------------------------------------------
+# pair batches
+# ---------------------------------------------------------------------------
+
+def test_a_pair_batch_is_split_once(eigh_calls):
+    families = [SolutionFamily(lam=0.3 * unit(SYM3), c1=-0.7, c2=1.9, kappa=2.5), FAMILIES[1]]
+    a, b, c, d = make_regular_solution(FAMILIES[1])
+    quadruples = [
+        *(make_regular_solution(fam) for fam in families),
+        wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(SYM3))),
+        (a, b, c, with_injected_defect(d, 0.1)),
+    ]
+
+    def sweeps(pairs):
+        reports = [olkin_baker_residual(*quadruple, pairs) for quadruple in quadruples]
+        for field in (log_det_field(0.8), trace_field()):
+            reports += log_quadratic_residual(field, pairs)
+        return [report.to_json() for report in reports]
+
+    eigh_calls.clear()
+    pairs = sample_cone_pairs(SYM3, 40, seed=0)
+    # both streams share one certified scale
+    assert eigh_calls == [1]
+    eigh_calls.clear()
+    on_batch = sweeps(pairs)
+    # one split of x + y and one y^(-1/2) for six sweeps
+    assert eigh_calls == [40, 40]
+    x, y = pairs.columns
+    for kept, fresh in zip((*pairs.split, pairs.y_inv_sqrt),
+                           (*split_batch(SYM3, x, y), _inv_sqrt_batch(SYM3, y))):
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, fresh)
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.0
+    assert sweeps(list(pairs)) == on_batch
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])
+def test_a_cone_batch_is_a_sequence_of_element_tuples(spec):
+    alg = Algebra.from_spec(spec)
+    pairs = sample_cone_pairs(alg, 40, seed=8)
+    assert isinstance(pairs, Sequence) and len(pairs) == 40
+    x, y = pairs.columns
+    assert not x.flags.writeable and not y.flags.writeable
+    for index in (0, -1):
+        row = pairs[index]
+        assert isinstance(row, tuple) and len(row) == 2
+        assert all(isinstance(p, Element) and p.algebra == alg for p in row)
+        assert np.array_equal(row[0].coords, x[index]) and np.array_equal(row[1].coords, y[index])
+    with pytest.raises(IndexError):
+        pairs[40]
+    head = pairs[:30]
+    assert isinstance(head, ConeBatch) and len(head) == 30
+    # each Jacobi result depends only on its own matrix
+    for part, whole in zip(head.split, pairs.split):
+        assert np.array_equal(part, whole[:30])
+    rows = list(pairs)
+    assert len(rows) == 40 and all(len(row) == 2 for row in rows)
+    xs, ys = zip(*pairs)
+    assert np.array_equal(np.stack([p.coords for p in xs]), x)
+    assert np.array_equal(np.stack([q.coords for q in ys]), y)
+    triples = sample_cone_triples(alg, 20, seed=9)
+    assert len(triples) == 20 and len(triples.columns) == 3
+    assert all(len(row) == 3 for row in triples)
+    assert np.array_equal(triples[-1][2].coords, triples.columns[2][-1])
+
+
+def test_only_the_batch_type_splits_or_inverts_its_pairs():
+    # a sweep reads the split and y^(-1/2) its batch keeps, so no sweep
+    # diagonalises its inputs again
+    names = {"split_batch", "_inv_sqrt_batch"}
+    tree = ast.parse(Path(funceq.__file__).read_text())
+    owner = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ConeBatch"
+    )
+    inside = {id(node) for node in ast.walk(owner)}
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            assert id(node) in inside, f"funceq.py:{node.lineno}: {name} outside ConeBatch"
