@@ -371,6 +371,20 @@ def _require_open_cone(eigs, what: str, eps: float = EPS_CONE) -> np.ndarray:
     return w.min(axis=-1)
 
 
+def _require_open_cone_ldl(algebra: Algebra, coords, what: str, error=NotInCone) -> None:
+    """Raises ``error`` unless every LDL^H pivot of every row of a (N, dim)
+    batch is > 0 (:func:`_in_open_cone_ldl` at eps 0), quoting after ``what``
+    the first failing row's smallest eigenvalue and trace, or that the row is
+    non-finite, which is never diagonalised."""
+    inside = _in_open_cone_ldl(algebra, coords, 0.0)
+    if not inside.all():
+        row = np.asarray(coords, dtype=float)[np.argmin(inside)]
+        if not np.isfinite(row).all():
+            raise error(f"{what} (non-finite entries)")
+        w = eigvals_batch(algebra, row[None])[0]
+        raise error(f"{what} (min eigenvalue {w[0]:.3e}, trace {w.sum():.3e})")
+
+
 def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     """(N, r) pivots d_k of the unpivoted LDL^H factorisation of each row of a
     (N, dim) batch (Golub & Van Loan 4.2): a row lies in the open cone iff

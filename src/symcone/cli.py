@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +47,6 @@ def schema_text(subcommand: str) -> str:
     """The published JSON schema for a subcommand's stdout document."""
     name = SCHEMAS[subcommand]
     return importlib.resources.files("symcone.schemas").joinpath(name).read_text()
-
-
-@dataclass
-class Command:
-    subcommand: str
-    options: argparse.Namespace
 
 
 def _checked(convert, ok, requirement: str):
@@ -94,7 +87,7 @@ def _algebra_arg(parser: argparse.ArgumentParser) -> None:
 def _scale_args(parser, suffix=""):
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
-        f"--scale{suffix}", type=float, default=None, metavar="K",
+        f"--scale{suffix}", type=_FINITE, default=None, metavar="K",
         help=f"scale element a{suffix} = K * e (default 1.0)",
     )
     group.add_argument(
@@ -219,14 +212,15 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def parse(argv) -> Command:
+def parse(argv) -> argparse.Namespace:
     """Parse and validate an argument vector (exits with status 2 on usage
     errors, argparse style, with the subcommand's usage line)."""
     parser, subparsers = _build()
     options = parser.parse_args(argv)
     sub = subparsers[options.subcommand]
     threshold = wishart.shape_threshold(Algebra.from_spec(options.algebra))
-    if options.subcommand != "check-funceq":
+    # of the check-funceq equations, only the Wishart dictionary reads --p1 and --p2
+    if options.subcommand != "check-funceq" or options.equation == "olkin-baker-wishart":
         for attr in ("p", "p1", "p2"):
             value = getattr(options, attr, None)
             if value is not None and not value > threshold:
@@ -239,7 +233,7 @@ def parse(argv) -> Command:
             f"--n must be at least {harness.MIN_EXPERIMENT_SAMPLES} for experiments, "
             f"got {options.n!r}"
         )
-    return Command(subcommand=options.subcommand, options=options)
+    return options
 
 
 def _load_element(path: str) -> Element:
@@ -426,7 +420,7 @@ _RUNNERS = {
 }
 
 
-def run(cmd: Command) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Dispatch a parsed command; writes the report (a CSV buffer as it is,
     any other document as strict JSON) to --out, then stdout, and returns
     the exit code.
@@ -435,17 +429,16 @@ def run(cmd: Command) -> int:
     the strict JSON encoder or by the stage that computed it, with one line;
     so is an output that cannot be written (a bad --out, a closed pipe).
     """
-    ns = cmd.options
     algebra = Algebra.from_spec(ns.algebra)
     try:
         with np.errstate(all="ignore"):
-            code, doc = _RUNNERS[cmd.subcommand](ns, algebra)
+            code, doc = _RUNNERS[ns.subcommand](ns, algebra)
         output = doc.getvalue().rstrip("\n") if isinstance(doc, io.StringIO) else _strict_json(doc)
     except (
         NotInCone, SingularElement, OutOfRegion, PoleError, ValueError, OSError,
         OverflowError, RuntimeError,
     ) as exc:
-        print(f"symcone {cmd.subcommand}: {exc}", file=sys.stderr)
+        print(f"symcone {ns.subcommand}: {exc}", file=sys.stderr)
         return 1
     try:
         if getattr(ns, "out", None):
@@ -454,7 +447,7 @@ def run(cmd: Command) -> int:
         print(output)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"symcone {cmd.subcommand}: output: {exc}", file=sys.stderr)
+        print(f"symcone {ns.subcommand}: output: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):
             # the reader is gone: the exit-time flush of what is left goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -463,8 +456,7 @@ def run(cmd: Command) -> int:
 
 
 def main(argv=None) -> None:
-    cmd = parse(sys.argv[1:] if argv is None else argv)
-    sys.exit(run(cmd))
+    sys.exit(run(parse(sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":

@@ -143,3 +143,17 @@ def jacobi_eigvals_batch(mats) -> np.ndarray:
 def jacobi_eigvals(mat) -> np.ndarray:
     w, _ = jacobi_eigh(mat, compute_vectors=False)
     return w
+
+
+def _least_squares(rows, rhs, rank: int, what: str) -> tuple[np.ndarray, float]:
+    """Least-squares solution of rows @ s = rhs and its max absolute residual;
+    raises ValueError when the design has rank below ``rank``.  Solves on the
+    Jacobi spectrum of the small Gram matrix D^T D, so it stays LAPACK-free."""
+    design = np.asarray(rows, dtype=float)
+    target = np.asarray(rhs, dtype=float)
+    w, v = jacobi_eigh(design.T @ design)
+    keep = w > max(design.shape) * np.finfo(float).eps * w[-1]
+    if keep.sum() < rank:
+        raise ValueError(f"degenerate {what}: design rank {keep.sum()} < {rank}; add points")
+    solution = v[:, keep] @ ((v[:, keep].T @ (design.T @ target)) / w[keep])
+    return solution, float(np.abs(design @ solution - target).max())

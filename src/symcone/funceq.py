@@ -37,13 +37,13 @@ from .algebra import (
     _inv_sqrt_batch,
     _log_det_batch,
     _unit_coords,
-    inner,
     quadratic_action_batch,
     traces_batch,
 )
-from .eigh import jacobi_eigh
+from .eigh import _least_squares
 from .errors import AlgebraMismatch, DimensionMismatch
 from .geometry import ConeElement
+from .harness import split_batch
 from .rng import PURPOSE_PAIRS
 from .wishart import WishartParams
 
@@ -206,10 +206,10 @@ def _report(equation, algebra, residuals, seed=None) -> ResidualReport:
 
 def _as_batch(tuples, what: str) -> ConeBatch:
     """A non-empty ConeBatch passes through; any other iterable of Element
-    tuples is stacked into one."""
+    tuples, or of bare Elements as one-element rows, is stacked into one."""
     if isinstance(tuples, ConeBatch) and len(tuples):
         return tuples
-    tuples = list(tuples)
+    tuples = [(t,) if isinstance(t, Element) else t for t in tuples]
     if not tuples:
         raise ValueError(f"empty {what} list")
     algebra = tuples[0][0].algebra
@@ -255,11 +255,9 @@ def homogeneity_defect(f: ScalarField, scales, points) -> float:
     scales = [float(s) for s in scales]
     if any(s <= 0.0 for s in scales):
         raise ValueError("scales must be positive")
-    points = list(points)
-    if not points:
-        return 0.0
-    x = np.stack([p.coords for p in points])
-    values = _evaluate(f, points[0].algebra, np.concatenate([x] + [s * x for s in scales]))
+    points = _as_batch(points, "point")
+    (x,) = points.columns
+    values = _evaluate(f, points.algebra, np.concatenate([x] + [s * x for s in scales]))
     values = values.reshape(len(scales) + 1, len(x))
     return float(np.abs(values[1:] - values[0]).max(initial=0.0))
 
@@ -286,20 +284,6 @@ def cauchy_difference(c: ScalarField) -> Callable[[Element, Element], float]:
 # Pexider recovery
 # ---------------------------------------------------------------------------
 
-def _least_squares(rows, rhs, rank: int, what: str) -> tuple[np.ndarray, float]:
-    """Least-squares solution of rows @ s = rhs and its max absolute residual;
-    raises ValueError when the design has rank below ``rank``.  Solves on the
-    Jacobi spectrum of the small Gram matrix D^T D, so it stays LAPACK-free."""
-    design = np.asarray(rows, dtype=float)
-    target = np.asarray(rhs, dtype=float)
-    w, v = jacobi_eigh(design.T @ design)
-    keep = w > max(design.shape) * np.finfo(float).eps * w[-1]
-    if keep.sum() < rank:
-        raise ValueError(f"degenerate {what}: design rank {keep.sum()} < {rank}; add points")
-    solution = v[:, keep] @ ((v[:, keep].T @ (design.T @ target)) / w[keep])
-    return solution, float(np.abs(design @ solution - target).max())
-
-
 @dataclass(eq=False)
 class PexiderFit:
     lam: Element
@@ -317,16 +301,16 @@ def pexider_fit(samples) -> PexiderFit:
     When k is constant the recovery collapses to the constant solution
     l = k - c, n = c with lam = 0.
     """
-    rows, rhs = [], []
-    algebra = None
-    for x, y, k_val, l_val, n_val in samples:
-        algebra = x.algebra
-        rows += [np.append((x + y).coords, [1.0, 1.0]), np.append(x.coords, [1.0, 0.0]),
-                 np.append(y.coords, [0.0, 1.0])]
-        rhs += [k_val, l_val, n_val]
-    if algebra is None:
-        raise ValueError("empty sample list")
-    solution, residual = _least_squares(rows, rhs, algebra.dim + 2, "sample set")
+    samples = list(samples)
+    pairs = _as_batch([sample[:2] for sample in samples], "sample")
+    algebra, (x, y) = pairs.algebra, pairs.columns
+    # rows (x + y, 1, 1), (x, 1, 0), (y, 0, 1) per sample against (k, l, n)
+    constants = np.broadcast_to([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], (len(x), 3, 2))
+    design = np.concatenate([np.stack([x + y, x, y], axis=1), constants], axis=2)
+    rhs = np.array([sample[2:] for sample in samples], dtype=float)
+    solution, residual = _least_squares(
+        design.reshape(-1, algebra.dim + 2), rhs.ravel(), algebra.dim + 2, "sample set"
+    )
     return PexiderFit(
         lam=Element(algebra, solution[: algebra.dim]),
         b=float(solution[algebra.dim]),
@@ -337,11 +321,16 @@ def pexider_fit(samples) -> PexiderFit:
 
 def generate_pexider_samples(algebra, lam: Element, b: float, c: float, count: int, seed: int):
     """Noiseless (x, y, k, l, n) tuples from a known additive-plus-constant
-    triple, for recovery tests."""
-    return [
-        (x, y, inner(lam, x + y) + b + c, inner(lam, x) + b, inner(lam, y) + c)
-        for x, y in sample_cone_pairs(algebra, count, seed)
-    ]
+    triple, for recovery tests; <lam, .> is the coordinate dot product, the
+    basis being orthonormal."""
+    if lam.algebra != algebra:
+        raise AlgebraMismatch(
+            f"lam belongs to {lam.algebra.spec_string()}, not {algebra.spec_string()}"
+        )
+    pairs = sample_cone_pairs(algebra, count, seed)
+    x, y = pairs.columns
+    kln = np.stack([(x + y) @ lam.coords + b + c, x @ lam.coords + b, y @ lam.coords + c], axis=1)
+    return [(p, q, *values) for (p, q), values in zip(pairs, kln.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +344,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConeBatch(Sequence):
-    """Cone pairs or triples as read-only (N, dim) coordinate columns.
+    """Cone points, pairs or triples as read-only (N, dim) coordinate columns.
 
     It is a Sequence of Element tuples: the elements of a row are built when
     it is indexed, and a slice is again a batch.  A pair batch (x, y) keeps
@@ -387,8 +376,6 @@ class ConeBatch(Sequence):
     @cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v, u, u_comp) of the pairs, as :func:`harness.split_batch` gives it."""
-        from .harness import split_batch
-
         x, y = self.columns
         return tuple(_read_only(part) for part in split_batch(self.algebra, x, y))
 
@@ -399,9 +386,9 @@ class ConeBatch(Sequence):
         return _read_only(_inv_sqrt_batch(self.algebra, y))
 
 
-def _sweep_columns(algebra, count: int, seed: int, streams, margin: float) -> list[np.ndarray]:
-    """For each stream, its first ``count`` standard Wishart draws that pass
-    the open-cone rule at ``margin`` (lambda_min > margin tr), so log det
+def _sweep_batch(algebra, count: int, seed: int, streams, margin: float = 1e-6) -> ConeBatch:
+    """One column per stream: its first ``count`` standard Wishart draws that
+    pass the open-cone rule at ``margin`` (lambda_min > margin tr), so log det
     evaluations stay far from the boundary blow-up.  The streams share one
     certified scale."""
     # a shape comfortably above the density threshold, so log det stays tame
@@ -420,18 +407,16 @@ def _sweep_columns(algebra, count: int, seed: int, streams, margin: float) -> li
         else:
             raise RuntimeError("cone-margin filtering rejected too many draws")
         columns.append(np.concatenate(kept)[:count])
-    return columns
+    return ConeBatch(algebra, columns)
 
 
-def sample_cone_points(algebra, count: int, seed: int, stream: int = 0, margin: float = 1e-6):
-    """Standard Wishart draws that pass the open-cone rule at ``margin``."""
-    (rows,) = _sweep_columns(algebra, count, seed, [stream], margin)
-    return [Element(algebra, row) for row in rows]
+def sample_cone_points(algebra, count: int, seed: int) -> ConeBatch:
+    return _sweep_batch(algebra, count, seed, range(1))
 
 
-def sample_cone_pairs(algebra, count: int, seed: int, margin: float = 1e-6) -> ConeBatch:
-    return ConeBatch(algebra, _sweep_columns(algebra, count, seed, range(2), margin))
+def sample_cone_pairs(algebra, count: int, seed: int) -> ConeBatch:
+    return _sweep_batch(algebra, count, seed, range(2))
 
 
-def sample_cone_triples(algebra, count: int, seed: int, margin: float = 1e-6) -> ConeBatch:
-    return ConeBatch(algebra, _sweep_columns(algebra, count, seed, range(3), margin))
+def sample_cone_triples(algebra, count: int, seed: int) -> ConeBatch:
+    return _sweep_batch(algebra, count, seed, range(3))

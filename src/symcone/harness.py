@@ -31,8 +31,8 @@ from .algebra import (
     quadratic_action_batch,
     unit,
 )
+from .eigh import _least_squares
 from .errors import NotInCone
-from .funceq import _least_squares
 from .geometry import ConeElement
 from .wishart import WishartParams
 

@@ -47,16 +47,16 @@ from .algebra import (
     _in_open_cone_ldl,
     _log_det,
     _log_det_batch,
+    _require_open_cone_ldl,
     _unit_coords,
     eigvals_batch,
-    eigenvalues,
     inner,
     mats_to_coords,
     quadratic_action,
     quadratic_action_batch,
     unit,
 )
-from .errors import NotInCone, OutOfRegion, PoleError
+from .errors import OutOfRegion, PoleError
 from .geometry import ConeElement
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -150,11 +150,9 @@ def laplace_transform(params: WishartParams, t: Element) -> float:
         raise ValueError("transform argument belongs to a different algebra")
     alg = params.algebra
     arg = unit(alg) + quadratic_action(params.a.inv_sqrt(), t)
-    # the region check on the LDL^H pivots; the spectrum only for the message
-    if not _in_open_cone_ldl(alg, arg.coords[None], 0.0)[0]:
-        raise OutOfRegion(
-            f"e + P(a^(-1/2)) t left the open cone (min eigenvalue {eigenvalues(arg).min():.3e})"
-        )
+    _require_open_cone_ldl(
+        alg, arg.coords[None], "e + P(a^(-1/2)) t left the open cone", OutOfRegion
+    )
     return _exp(-params.p * _log_det(arg), "Laplace transform")
 
 
@@ -364,11 +362,7 @@ def sample(
 
     # standard draws to scale a by the quadratic representation of a^(-1/2)
     coords = quadratic_action_batch(alg, params.a.inv_sqrt().coords, coords)
-    # the certificate on the LDL^H pivots; the spectrum only for the message
-    if not _in_open_cone_ldl(alg, coords, 0.0).all():
-        raise NotInCone(
-            f"sampler produced a draw outside the open cone (min eigenvalue "
-            f"{eigvals_batch(alg, coords)[:, 0].min():.3e}); "
-            f"shape p={params.p} may be too close to the threshold"
-        )
+    _require_open_cone_ldl(
+        alg, coords, f"sampler produced a draw outside the open cone at shape p={params.p}"
+    )
     return SampleBatch(params=params, seed=seed, stream=stream, coords=coords)

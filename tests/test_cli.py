@@ -38,8 +38,8 @@ def validate(subcommand, text):
 def test_parse_valid_sample_command():
     cmd = cli.parse(["sample", "--algebra", "symr:2", "--p", "3", "--n", "1000", "--seed", "7"])
     assert cmd.subcommand == "sample"
-    assert cmd.options.p == 3.0
-    assert cmd.options.seed == 7
+    assert cmd.p == 3.0
+    assert cmd.seed == 7
 
 
 @pytest.mark.parametrize(
@@ -60,6 +60,19 @@ def test_parse_valid_sample_command():
         pytest.param(
             ["check-funceq", "--algebra", "symr:2", "--equation", "cocycle", "--p2", "nan"],
             "got nan", id="p2-nan",
+        ),
+        # the Wishart dictionary's default shapes 3 sit below hermc:5's threshold 4
+        pytest.param(
+            ["check-funceq", "--equation", "olkin-baker-wishart", "--algebra", "hermc:5",
+             "--n-pairs", "10"], "requires p1 > 4.0", id="wishart-p1-below-threshold",
+        ),
+        pytest.param(
+            ["sample", "--algebra", "symr:2", "--p", "3", "--n", "2", "--seed", "0",
+             "--scale", "nan"], "got nan", id="scale-nan",
+        ),
+        pytest.param(
+            ["verify-negative", "--algebra", "symr:2", "--scale2", "inf"], "got inf",
+            id="scale2-inf",
         ),
         pytest.param(
             ["verify-lukacs", "--algebra", "symr:3", "--n", "2000", "--level", "5"], "got 5.0",
@@ -124,6 +137,16 @@ def test_parse_rejects_out_of_range_shape(argv, quoted, capsys):
     # the subcommand's own usage line and error prefix, as for argparse's own errors
     assert err.startswith(f"usage: symcone {argv[0]} ")
     assert f"\nsymcone {argv[0]}: error: " in err
+
+
+def test_check_funceq_checks_shapes_only_for_the_wishart_dictionary(capsys):
+    # --p1 and --p2 keep their defaults of 3, below hermc:5's threshold 4
+    code, out, err = run_cli(
+        ["check-funceq", "--equation", "cocycle", "--algebra", "hermc:5", "--n-pairs", "10"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    validate("check-funceq", out)
 
 
 @pytest.mark.parametrize("value", ["abc", "inf", "nan"])
@@ -370,18 +393,22 @@ def test_malformed_family_is_runtime_error(family, token, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,said",
     [
         # squared distances of draws near 1e200 overflow in the dcor test
-        ["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "3",
-         "--max-stat-samples", "50", "--scale", "1e-200"],
+        (["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "3",
+          "--max-stat-samples", "50", "--scale", "1e-200"], "distance matrix overflows"),
         # lambda = 1e308 e overflows <lambda, x>, and the residual becomes NaN
-        ["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
-         "--n-pairs", "20", "--family", "l=1e308,c1=1,c2=1,k=0"],
+        (["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
+          "--n-pairs", "20", "--family", "l=1e308,c1=1,c2=1,k=0"], "NaN or an infinity"),
+        # a = 1e-320 e: a^(-1/2) carries the draws past the largest float
+        (["sample", "--algebra", "symr:2", "--p", "3", "--n", "2", "--seed", "0",
+          "--scale", "1e-320"], "produced a draw outside the open cone at shape p=3.0 "
+         "(non-finite entries)"),
     ],
-    ids=["dcor-overflow", "residual-overflow"],
+    ids=["dcor-overflow", "residual-overflow", "draw-overflow"],
 )
-def test_non_finite_results_are_runtime_errors(argv):
+def test_non_finite_results_are_runtime_errors(argv, said):
     # a real process, so a leaked RuntimeWarning would reach its stderr
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -391,6 +418,7 @@ def test_non_finite_results_are_runtime_errors(argv):
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"symcone {argv[0]}:"), proc.stderr
+    assert said in lines[0], proc.stderr
 
 
 @pytest.mark.parametrize("equation", ["cocycle", "log-quadratic"])

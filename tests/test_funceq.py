@@ -33,8 +33,10 @@ from symcone.funceq import (
     ScalarField,
     SolutionFamily,
     _evaluate,
+    _sweep_batch,
     cauchy_difference,
     cocycle_residual,
+    det_over_trace_field,
     generate_pexider_samples,
     homogeneity_defect,
     linear_field,
@@ -56,6 +58,7 @@ from symcone.harness import split, split_batch
 SYM1 = Algebra.sym_real(1)
 SYM2 = Algebra.sym_real(2)
 SYM3 = Algebra.sym_real(3)
+LOR2 = Algebra.lorentz(2)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,18 @@ def test_reduced_log_det_field_vanishes():
     assert homogeneity_defect(field, [0.5, 4.0], points) == 0.0
 
 
+def test_points_are_the_pairs_first_column():
+    for spec in ("symr:3", "hermc:3", "lorentz:4"):
+        alg = Algebra.from_spec(spec)
+        points = sample_cone_points(alg, 60, seed=14)
+        assert isinstance(points, ConeBatch) and len(points.columns) == 1
+        assert np.array_equal(points.columns[0], sample_cone_pairs(alg, 60, seed=14).columns[0])
+        field = det_over_trace_field()
+        on_batch = homogeneity_defect(field, [0.5, 2.0, 3.7], points)
+        assert homogeneity_defect(field, [0.5, 2.0, 3.7], [x for (x,) in points]) == on_batch
+        assert homogeneity_defect(field, [0.5, 2.0, 3.7], list(points)) == on_batch
+
+
 def test_homogeneity_rejects_bad_scale():
     with pytest.raises(ValueError):
         homogeneity_defect(trace_field(), [-1.0], [unit(SYM2)])
@@ -265,6 +280,18 @@ def test_pexider_zero_data():
     assert abs(fit.b) < 1e-12 and abs(fit.c) < 1e-12
 
 
+def test_pexider_fit_rejects_mixed_algebras():
+    # symr:2 and lorentz:2 share dim 3, so only the algebra tags differ
+    samples = [
+        *generate_pexider_samples(SYM2, unit(SYM2), b=1.0, c=-2.0, count=20, seed=24),
+        *generate_pexider_samples(LOR2, unit(LOR2), b=1.0, c=-2.0, count=20, seed=25),
+    ]
+    with pytest.raises(AlgebraMismatch):
+        pexider_fit(samples)
+    with pytest.raises(AlgebraMismatch):
+        generate_pexider_samples(SYM2, unit(LOR2), b=1.0, c=-2.0, count=20, seed=24)
+
+
 def test_pexider_rank_deficient_design():
     x = unit(SYM2)
     samples = [(x, x, 2.0, 1.0, 1.0)] * 30
@@ -320,7 +347,7 @@ def test_margin_filter_agrees_with_eigenvalues(spec):
 def test_sweep_points_clear_the_margin():
     for spec in ("symr:3", "hermc:3"):
         alg = Algebra.from_spec(spec)
-        x = np.stack([e.coords for e in sample_cone_points(alg, 500, seed=4, margin=1e-2)])
+        (x,) = _sweep_batch(alg, 500, 4, range(1), 1e-2).columns
         assert (eigvals_batch(alg, x)[:, 0] > 1e-2 * traces_batch(alg, x)).all()
 
 
@@ -451,6 +478,8 @@ def test_empty_inputs_rejected():
         olkin_baker_residual(*make_regular_solution(FAMILIES[0]), [])
     with pytest.raises(ValueError):
         log_quadratic_residual(log_det_field(), sample_cone_pairs(SYM3, 10, seed=0)[:0])
+    with pytest.raises(ValueError):
+        homogeneity_defect(trace_field(), [2.0], [])
 
 
 def test_mixed_algebras_rejected():
@@ -540,3 +569,21 @@ def test_only_the_batch_type_splits_or_inverts_its_pairs():
         name = getattr(node, "id", None) or getattr(node, "attr", None)
         if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
             assert id(node) in inside, f"funceq.py:{node.lineno}: {name} outside ConeBatch"
+
+
+def test_funceq_and_harness_import_no_cycle():
+    # harness owns split_batch and funceq imports it; harness imports nothing from
+    # funceq, and funceq imports nothing at call time
+    harness_tree = ast.parse(Path(split_batch.__code__.co_filename).read_text())
+    for node in ast.walk(harness_tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "funceq" and "funceq" not in {a.name for a in node.names}
+        if isinstance(node, ast.Import):
+            assert not any("funceq" in a.name for a in node.names)
+    tree = ast.parse(Path(funceq.__file__).read_text())
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(function):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                    f"funceq.py:{node.lineno}: import inside {getattr(function, 'name', 'lambda')}"
+                )
