@@ -371,12 +371,14 @@ def _require_open_cone(eigs, what: str, eps: float = EPS_CONE) -> np.ndarray:
     return w.min(axis=-1)
 
 
-def _require_open_cone_ldl(algebra: Algebra, coords, what: str, error=NotInCone) -> None:
-    """Raises ``error`` unless every LDL^H pivot of every row of a (N, dim)
-    batch is > 0 (:func:`_in_open_cone_ldl` at eps 0), quoting after ``what``
-    the first failing row's smallest eigenvalue and trace, or that the row is
-    non-finite, which is never diagonalised."""
-    inside = _in_open_cone_ldl(algebra, coords, 0.0)
+def _require_open_cone_ldl(
+    algebra: Algebra, coords, what: str, error=NotInCone, eps: float = 0.0
+) -> None:
+    """Raises ``error`` unless every row of a (N, dim) batch passes
+    :func:`_in_open_cone_ldl` at ``eps`` (at 0, every LDL^H pivot is > 0),
+    quoting after ``what`` the first failing row's smallest eigenvalue and
+    trace, or that the row is non-finite, which is never diagonalised."""
+    inside = _in_open_cone_ldl(algebra, coords, eps)
     if not inside.all():
         row = np.asarray(coords, dtype=float)[np.argmin(inside)]
         if not np.isfinite(row).all():

@@ -9,7 +9,12 @@ dcor vanishes exactly when the two random vectors are independent, which is
 what the permutation test calibrates against.  Permuting the second sample
 leaves mean(B*B) invariant, so permutation comparisons can run on the sum
 of A_ij B_pi(i)pi(j); A and B are bit-symmetric, so that sum needs only the
-block upper triangle.
+block upper triangle of A, packed once per test.
+
+Each sample is first multiplied by the power of two that brings its largest
+magnitude into [0.5, 1).  The product is exact, and dcor and every sum the
+test compares scale exactly with it, so results do not depend on the units
+of the data, and distances neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -28,57 +33,76 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
         x = x[:, None]
     gram = x @ x.T
     sq = np.diagonal(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    # (sq_i + sq_j) - 2 gram_ij, built in one m x m array besides gram
+    d2 = np.add.outer(sq, sq)
+    gram *= 2.0
+    d2 -= gram
     np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2)
+    return np.sqrt(d2, out=d2)
 
 
 def double_center(d: np.ndarray) -> np.ndarray:
     """Double-centre a symmetric distance matrix with one mean vector, so the
     result is bit-symmetric whenever ``d`` is."""
     mu = d.mean(axis=0)
-    return d - (mu[:, None] + mu[None, :]) + mu.mean()
+    t = np.add.outer(mu, mu)
+    np.subtract(d, t, out=t)
+    t += mu.mean()
+    return t
 
 
-def _dcov_sq(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(a * b))
+def _normalised(x: np.ndarray, name: str) -> np.ndarray:
+    """``x`` times the power of two that brings its largest magnitude into
+    [0.5, 1); ValueError, naming the sample, on a non-finite entry."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"the {name} sample has non-finite entries")
+    _, exponent = np.frexp(np.abs(x).max(initial=0.0))
+    return np.ldexp(x, -exponent)
+
+
+def _centred_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = double_center(pairwise_distances(_normalised(x, "first")))
+    return a, double_center(pairwise_distances(_normalised(y, "second")))
 
 
 def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Sample distance correlation of two (n, d) feature arrays."""
-    a = double_center(pairwise_distances(x))
-    b = double_center(pairwise_distances(y))
-    return _dcor_from_centered(a, b)
+    return _dcor_from_centered(*_centred_pair(x, y))
 
 
 def _dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
-    vx = _dcov_sq(a, a)
-    vy = _dcov_sq(b, b)
-    denom = math_sqrt_safe(vx * vy)
+    denom = float(np.sqrt(float(np.mean(a * a)) * float(np.mean(b * b))))
     if denom <= 0.0:
         return 0.0
-    return math_sqrt_safe(max(_dcov_sq(a, b), 0.0) / denom)
+    return float(np.sqrt(max(float(np.mean(a * b)), 0.0) / denom))
 
 
-def math_sqrt_safe(v: float) -> float:
-    return float(np.sqrt(v)) if v > 0.0 else 0.0
+def _pack(a: np.ndarray) -> list[np.ndarray]:
+    """The block upper triangle of a bit-symmetric ``a``: for each block of
+    BLOCK_ROWS rows, one contiguous copy of ``a[i:j, i:]`` whose part right of
+    the diagonal tile is doubled (exactly), since it stands for both sides."""
+    tiles = []
+    for i in range(0, len(a), BLOCK_ROWS):
+        tile = a[i : i + BLOCK_ROWS, i:].copy()
+        tile[:, len(tile) :] *= 2.0
+        tiles.append(tile)
+    return tiles
 
 
-def _permuted_sum(a: np.ndarray, b: np.ndarray, pi: np.ndarray) -> float:
-    """sum_ij a[i, j] * b[pi[i], pi[j]] for bit-symmetric a and b.
+def _permuted_sum(tiles: list[np.ndarray], b: np.ndarray, pi: np.ndarray) -> float:
+    """sum_ij a[i, j] * b[pi[i], pi[j]] for bit-symmetric a and b, with a
+    packed by :func:`_pack`.
 
-    Walks row blocks of BLOCK_ROWS rows and gathers only the block's tile on
-    and right of the diagonal, which stays in cache: the diagonal tile counts
-    once and the tile right of it twice.  ``einsum`` reduces each tile in
-    numpy's own loop, so the sum is the same on every BLAS build.
+    Gathers each block's tile of the permuted B on and right of the diagonal,
+    which stays in cache.  ``einsum`` reduces each tile in numpy's own loop,
+    so the sum is the same on every BLAS build.
     """
-    n = len(pi)
     total = 0.0
-    for i in range(0, n, BLOCK_ROWS):
-        j = min(i + BLOCK_ROWS, n)
-        blk = np.take(np.take(b, pi[i:j], axis=0), pi[i:], axis=1)
-        total += np.einsum("ij,ij->", a[i:j, i:j], blk[:, : j - i])
-        total += 2.0 * np.einsum("ij,ij->", a[i:j, j:], blk[:, j - i :])
+    for k, tile in enumerate(tiles):
+        i = k * BLOCK_ROWS
+        blk = b.take(pi[i : i + len(tile)], axis=0).take(pi[i:], axis=1)
+        total += np.einsum("ij,ij->", tile, blk)
     return float(total)
 
 
@@ -99,16 +123,14 @@ def permutation_test(
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
     n = len(x)
-    a = double_center(pairwise_distances(x))
-    b = double_center(pairwise_distances(y))
-    for name, d in (("first", a), ("second", b)):
-        if not np.isfinite(d).all():
-            raise ValueError(f"the {name} sample's distance matrix overflows to non-finite values")
-    observed = _permuted_sum(a, b, np.arange(n))
+    a, b = _centred_pair(x, y)
     statistic = _dcor_from_centered(a, b)
+    tiles = _pack(a)
+    del a
+    observed = _permuted_sum(tiles, b, np.arange(n))
     exceed = 0
     for _ in range(n_permutations):
-        if _permuted_sum(a, b, gen.permutation(n)) >= observed:
+        if _permuted_sum(tiles, b, gen.permutation(n)) >= observed:
             exceed += 1
     p_value = (1.0 + exceed) / (1.0 + n_permutations)
     return statistic, p_value

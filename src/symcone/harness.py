@@ -161,7 +161,10 @@ def _run_experiment(
 
     expected = (wishart.mean(params1) + wishart.mean(params2)).coords
     observed = v.mean(axis=0)
-    sigma = v.std(axis=0, ddof=1) / math.sqrt(n)
+    # the spread of v at unit scale, so that its squares neither overflow nor
+    # underflow; the power-of-two scaling in and out is exact
+    _, exponent = np.frexp(np.abs(v).max())
+    sigma = np.ldexp(np.ldexp(v, -exponent).std(axis=0, ddof=1), exponent) / math.sqrt(n)
     z = np.abs(observed - expected) / np.where(sigma > 0.0, sigma, 1.0)
     mean_check = {
         "expected": expected.tolist(),

@@ -395,9 +395,11 @@ def test_malformed_family_is_runtime_error(family, token, capsys):
 @pytest.mark.parametrize(
     "argv,said",
     [
-        # squared distances of draws near 1e200 overflow in the dcor test
+        # a = 1e-320 e carries the experiment's draws past the largest float;
+        # draws near 1e200 no longer overflow the dcor test, which scales them
         (["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "3",
-          "--max-stat-samples", "50", "--scale", "1e-200"], "distance matrix overflows"),
+          "--max-stat-samples", "50", "--scale", "1e-320"], "produced a draw outside the "
+         "open cone at shape p=4.0 (non-finite entries)"),
         # lambda = 1e308 e overflows <lambda, x>, and the residual becomes NaN
         (["check-funceq", "--equation", "olkin-baker", "--algebra", "symr:2",
           "--n-pairs", "20", "--family", "l=1e308,c1=1,c2=1,k=0"], "NaN or an infinity"),
@@ -510,6 +512,46 @@ def test_verify_negative_smoke(capsys):
     doc = json.loads(out)
     assert doc["decision"] == "reject"
     validate("verify-negative", out)
+
+
+def test_experiments_at_extreme_scales_print_finite_documents(capsys):
+    # draws near 1e200 and 1e-165: the distances would overflow or underflow
+    code, out, err = run_cli(
+        ["verify-lukacs", "--algebra", "symr:2", "--n", "1000", "--permutations", "3",
+         "--max-stat-samples", "50", "--scale", "1e-200"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    validate("verify-lukacs", out)
+    assert json.loads(out)["statistic"] > 0.0
+    code, out, err = run_cli(
+        ["verify-negative", "--algebra", "symr:3", "--n", "1000", "--permutations", "19",
+         "--max-stat-samples", "300", "--seed", "3", "--scale1", "1e165", "--scale2", "3e165"],
+        capsys,
+    )
+    assert code == 0 and err == "", err
+    doc = json.loads(out)
+    assert doc["decision"] == "reject" and doc["statistic"] > 0.0
+    assert min(doc["mean_check"]["sigma"][:3]) > 0.0 and doc["mean_check"]["max_abs_z"] > 1e-3
+
+
+def test_shapes_near_the_threshold_sample_and_verify(capsys, tmp_path):
+    # delta = p - 1 = 0.05: about 9% of the raw draws are singular to rounding
+    out_path = tmp_path / "draws.json"
+    code, _, err = run_cli(
+        ["sample", "--algebra", "symr:3", "--p", "1.05", "--n", "20000", "--seed", "0",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert len(SampleBatch.from_json_dict(json.loads(out_path.read_text()))) == 20000
+    code, out, err = run_cli(
+        ["verify-lukacs", "--algebra", "symr:3", "--p1", "1.2", "--p2", "4", "--n", "10000",
+         "--permutations", "19", "--seed", "0"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    validate("verify-lukacs", out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,57 @@ def test_validates_input(rng):
             0,
             make_generator(0, PURPOSE_PERMUTE),
         )
+
+
+def test_non_finite_samples_are_refused_by_name(rng):
+    x = rng.standard_normal((20, 2))
+    for bad, name in ((np.inf, "first"), (np.nan, "second")):
+        z = x.copy()
+        z[3, 1] = bad
+        pair = (z, x) if name == "first" else (x, z)
+        with pytest.raises(ValueError, match=f"the {name} sample has non-finite entries"):
+            dcor.permutation_test(*pair, 5, make_generator(0, PURPOSE_PERMUTE))
+        with pytest.raises(ValueError, match=f"the {name} sample"):
+            dcor.distance_correlation(*pair)
+
+
+def test_results_do_not_depend_on_the_scale_of_either_sample(rng):
+    # at 2^-1000 the squared distances underflow and at 2^1015 they overflow;
+    # every entry stays a normal float, so the scaled data hold the same bits
+    x = rng.standard_normal((120, 3))
+    y = 0.1 * x[:, :2] ** 2 + rng.standard_normal((120, 2))
+    base = dcor.permutation_test(x, y, 29, make_generator(1, PURPOSE_PERMUTE))
+    for ex, ey in ((-1000, 1015), (700, -3), (-500, -500), (3, 0)):
+        xs, ys = np.ldexp(x, ex), np.ldexp(y, ey)
+        assert dcor.permutation_test(xs, ys, 29, make_generator(1, PURPOSE_PERMUTE)) == base
+        assert dcor.distance_correlation(xs, ys) == base[0]
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 257])
+def test_packed_sum_matches_the_plain_sum(n, rng):
+    x = rng.standard_normal((n, 3))
+    y = x[:, :1] ** 2 + rng.standard_normal((n, 2))
+    a = dcor.double_center(dcor.pairwise_distances(x))
+    b = dcor.double_center(dcor.pairwise_distances(y))
+    tiles = dcor._pack(a)
+    for pi in (np.arange(n), rng.permutation(n), rng.permutation(n)):
+        # relative to the sum of magnitudes: a permuted sum can cancel to near 0
+        terms = a * b[pi][:, pi]
+        assert abs(dcor._permuted_sum(tiles, b, pi) - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+
+
+def test_permutation_test_holds_at_most_three_square_arrays():
+    m = 1000
+    data = np.random.default_rng(11)
+    x = data.standard_normal((m, 3))
+    y = x[:, :2] ** 2 + data.standard_normal((m, 2))
+    tracemalloc.start()
+    try:
+        dcor.permutation_test(x, y, 2, make_generator(0, PURPOSE_PERMUTE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * m * m, peak / (8 * m * m)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (33, 2), (100, 6), (257, 9)])

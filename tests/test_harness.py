@@ -123,6 +123,25 @@ def test_forward_experiment_is_deterministic():
     assert r1.to_json() == r2.to_json()
 
 
+def test_forward_experiment_is_scale_free():
+    # a = 4^k e: the draws scale by exactly 4^-k and u not at all, and the
+    # draws stay finite normal floats up to |k| = 500 (a overflows at 512)
+    def run(k):
+        a = ConeElement.certify(4.0**k * unit(SYM3))
+        return forward_experiment(
+            4.0, 4.0, a, n=1000, seed=3, permutations=19, max_stat_samples=300
+        )
+
+    base = run(0)
+    for k in (-500, -300, -5, 5, 300, 500):
+        report = run(k)
+        for key in ("decision", "p_value", "statistic", "resampled", "domain_check"):
+            assert getattr(report, key) == getattr(base, key), (k, key)
+        assert report.mean_check["max_abs_z"] == base.mean_check["max_abs_z"], k
+        for key in ("expected", "observed", "sigma"):
+            assert report.mean_check[key] == [4.0**-k * c for c in base.mean_check[key]], (k, key)
+
+
 def test_forward_experiment_requires_enough_samples():
     with pytest.raises(ValueError, match="1000"):
         forward_experiment(3.0, 3.0, cone_unit(SYM2), n=100, seed=0)

@@ -12,6 +12,7 @@ from symcone.algebra import (
     Algebra,
     Element,
     _log_det,
+    coords_to_mats,
     eigenvalues,
     eigvals_batch,
     inv_sqrt_in_cone,
@@ -263,6 +264,19 @@ def test_scale_equivariance_two_sample():
     lt_direct = float(np.mean(np.exp(-direct.coords @ t.coords)))
     lt_transport = float(np.mean(np.exp(-transported @ t.coords)))
     assert lt_direct == pytest.approx(lt_transport, rel=0.01)
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5"])
+def test_draws_near_the_threshold_are_certified_in_the_closed_cone(spec):
+    # at p = threshold + 0.05 the last Bartlett pivot is Gamma(0.05), so
+    # about 9% of the draws are singular to rounding: the closure admits them
+    algebra = Algebra.from_spec(spec)
+    batch = sample(isotropic(algebra, shape_threshold(algebra) + 0.05), 20000, seed=0)
+    assert np.isfinite(batch.coords).all()
+    w = np.linalg.eigvalsh(coords_to_mats(algebra, batch.coords))
+    tr = w.sum(axis=1)
+    assert (w[:, 0] >= -1e-12 * tr).all()
+    assert (w[:, 0] <= 1e-12 * tr).sum() > 100
 
 
 def test_sampler_threshold_validation():
