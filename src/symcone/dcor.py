@@ -11,6 +11,11 @@ leaves mean(B*B) invariant, so permutation comparisons can run on the sum
 of A_ij B_pi(i)pi(j); A and B are bit-symmetric, so that sum needs only the
 block upper triangle of A, packed once per test.
 
+Each sample's distances are built and centred in place, in one m x m
+buffer.  A is packed as soon as it is centred and dropped before B is
+built, and the statistic's three sums are taken from the packed tiles and
+B, so the test holds B and half of A, never both matrices.
+
 Each sample is first multiplied by the power of two that brings its largest
 magnitude into [0.5, 1).  The product is exact, and dcor and every sum the
 test compares scale exactly with it, so results do not depend on the units
@@ -18,6 +23,8 @@ of the data, and distances neither overflow nor underflow.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,51 +38,81 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    gram = x @ x.T
-    sq = np.diagonal(gram)
-    # (sq_i + sq_j) - 2 gram_ij, built in one m x m array besides gram
-    d2 = np.add.outer(sq, sq)
-    gram *= 2.0
-    d2 -= gram
-    np.clip(d2, 0.0, None, out=d2)
-    return np.sqrt(d2, out=d2)
+    d = x @ x.T
+    sq = np.diagonal(d).copy()
+    # (sq_i + sq_j) - 2 gram_ij, in the Gram buffer one block of rows at a time
+    for i in range(0, len(d), BLOCK_ROWS):
+        rows = d[i : i + BLOCK_ROWS]
+        rows *= 2.0
+        np.subtract(np.add.outer(sq[i : i + BLOCK_ROWS], sq), rows, out=rows)
+    np.clip(d, 0.0, None, out=d)
+    return np.sqrt(d, out=d)
 
 
 def double_center(d: np.ndarray) -> np.ndarray:
-    """Double-centre a symmetric distance matrix with one mean vector, so the
-    result is bit-symmetric whenever ``d`` is."""
+    """Double-centre a symmetric distance matrix in place, overwriting and
+    returning ``d``.  One mean vector serves rows and columns, so the result
+    is bit-symmetric whenever ``d`` is."""
     mu = d.mean(axis=0)
-    t = np.add.outer(mu, mu)
-    np.subtract(d, t, out=t)
-    t += mu.mean()
-    return t
+    for i in range(0, len(d), BLOCK_ROWS):
+        d[i : i + BLOCK_ROWS] -= np.add.outer(mu[i : i + BLOCK_ROWS], mu)
+    d += mu.mean()
+    return d
 
 
 def _normalised(x: np.ndarray, name: str) -> np.ndarray:
     """``x`` times the power of two that brings its largest magnitude into
-    [0.5, 1); ValueError, naming the sample, on a non-finite entry."""
+    [0.5, 1); ValueError, naming the sample, on a sample that is not a
+    non-empty 1-D or 2-D array of finite entries."""
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"the {name} sample must be 1-D or 2-D, got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"the {name} sample is empty (shape {x.shape})")
     if not np.isfinite(x).all():
         raise ValueError(f"the {name} sample has non-finite entries")
-    _, exponent = np.frexp(np.abs(x).max(initial=0.0))
+    _, exponent = np.frexp(np.abs(x).max())
     return np.ldexp(x, -exponent)
 
 
-def _centred_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = double_center(pairwise_distances(_normalised(x, "first")))
-    return a, double_center(pairwise_distances(_normalised(y, "second")))
+def _prepared(x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """The packed tiles of A, B, and the dcor statistic.  A lives only until
+    it is packed, so it is gone before B is built."""
+    x, y = _normalised(x, "first"), _normalised(y, "second")
+    if len(x) != len(y):
+        raise ValueError(f"samples must be paired, got {len(x)} and {len(y)} rows")
+    tiles = _pack(double_center(pairwise_distances(x)))
+    b = double_center(pairwise_distances(y))
+    return tiles, b, _statistic(tiles, b)
 
 
 def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Sample distance correlation of two (n, d) feature arrays."""
-    return _dcor_from_centered(*_centred_pair(x, y))
+    return _prepared(x, y)[2]
 
 
-def _dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.sqrt(float(np.mean(a * a)) * float(np.mean(b * b))))
+def _statistic(tiles: list[np.ndarray], b: np.ndarray) -> float:
+    """dcor from A packed by :func:`_pack` and from B.
+
+    Each block's products pass through one small buffer and are summed
+    pairwise; the block sums are added exactly.  A tile's part right of the
+    diagonal holds 2A and stands for both sides, so it adds half its square.
+    """
+    n = len(b)
+    buf = np.empty(len(tiles[0]) * n)
+    aa, bb, ab = [], [], []
+    for k, tile in enumerate(tiles):
+        i = k * BLOCK_ROWS
+        r, c = tile.shape
+        t = np.square(tile, out=buf[: r * c].reshape(r, c))
+        aa += [np.add.reduce(t[:, :r], axis=None), 0.5 * np.add.reduce(t[:, r:], axis=None)]
+        ab.append(np.add.reduce(np.multiply(tile, b[i : i + r, i:], out=t), axis=None))
+        bb.append(np.add.reduce(np.square(b[i : i + r], out=buf[: r * n].reshape(r, n)), axis=None))
+    nn = float(n * n)
+    denom = math.sqrt(math.fsum(aa) / nn * (math.fsum(bb) / nn))
     if denom <= 0.0:
         return 0.0
-    return float(np.sqrt(max(float(np.mean(a * b)), 0.0) / denom))
+    return math.sqrt(max(math.fsum(ab) / nn, 0.0) / denom)
 
 
 def _pack(a: np.ndarray) -> list[np.ndarray]:
@@ -118,15 +155,10 @@ def permutation_test(
     p = (1 + #{permuted >= observed}) / (1 + n_permutations), which keeps the
     test valid (slightly conservative) at any permutation count.
     """
-    if len(x) != len(y):
-        raise ValueError("samples must be paired")
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
-    n = len(x)
-    a, b = _centred_pair(x, y)
-    statistic = _dcor_from_centered(a, b)
-    tiles = _pack(a)
-    del a
+    tiles, b, statistic = _prepared(x, y)
+    n = len(b)
     observed = _permuted_sum(tiles, b, np.arange(n))
     exceed = 0
     for _ in range(n_permutations):

@@ -34,7 +34,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .algebra import (
     _log_det_batch,
     _require_open_cone_ldl,
     _unit_coords,
-    eigvals_batch,
     inner,
     mats_to_coords,
     quadratic_action,
@@ -216,12 +214,9 @@ def _standard_chunk_coords(algebra: Algebra, p: float, m: int, gen) -> np.ndarra
 
 @dataclass(eq=False)
 class SampleBatch:
-    """A deterministic, seed-tagged batch of cone elements.
+    """A deterministic, seed-tagged batch of draws of the closed cone.
 
-    ``coords`` is the (count, dim) coordinate matrix.  ``min_eigenvalues``,
-    the smallest Jordan eigenvalue of each sample, and the ``samples`` list
-    of certified cone elements are computed on first read; vectorized
-    consumers should stay on ``coords``.
+    ``coords`` is the (count, dim) coordinate matrix, read-only.
     """
 
     params: WishartParams
@@ -232,26 +227,9 @@ class SampleBatch:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
         self.coords.setflags(write=False)
-        self._min_eigenvalues = None
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def min_eigenvalues(self) -> np.ndarray:
-        if self._min_eigenvalues is None:
-            lows = eigvals_batch(self.params.algebra, self.coords)[:, 0]
-            lows.setflags(write=False)
-            self._min_eigenvalues = lows
-        return self._min_eigenvalues
-
-    @cached_property
-    def samples(self) -> list[ConeElement]:
-        alg = self.params.algebra
-        return [
-            ConeElement(Element(alg, row), float(lo))
-            for row, lo in zip(self.coords, self.min_eigenvalues)
-        ]
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -77,6 +77,36 @@ def test_validates_input(rng):
         )
 
 
+def _both_refuse(x, y, match):
+    with pytest.raises(ValueError, match=match):
+        dcor.distance_correlation(x, y)
+    with pytest.raises(ValueError, match=match):
+        dcor.permutation_test(x, y, 5, make_generator(0, PURPOSE_PERMUTE))
+
+
+def test_unpaired_samples_are_refused_with_their_lengths(rng):
+    x, y = rng.standard_normal((40, 2)), rng.standard_normal((50, 2))
+    _both_refuse(x, y, "samples must be paired, got 40 and 50 rows")
+    _both_refuse(x[:, 0], y[:, 0], "samples must be paired, got 40 and 50 rows")
+
+
+def test_empty_samples_are_refused(rng):
+    _both_refuse(np.empty((0, 2)), np.empty((0, 2)), r"the first sample is empty \(shape \(0, 2\)\)")
+    _both_refuse(rng.standard_normal(5), np.empty((5, 0)), r"the second sample is empty \(shape \(5, 0\)\)")
+
+
+def test_samples_that_are_not_1d_or_2d_are_refused(rng):
+    x = rng.standard_normal((10, 2))
+    _both_refuse(x[:, :, None], x, r"the first sample must be 1-D or 2-D, got shape \(10, 2, 1\)")
+    _both_refuse(x, np.float64(3.0), r"the second sample must be 1-D or 2-D, got shape \(\)")
+
+
+def test_one_row_samples_give_statistic_zero():
+    x, y = np.array([[1.0, 2.0]]), np.array([3.0])
+    assert dcor.distance_correlation(x, y) == 0.0
+    assert dcor.permutation_test(x, y, 5, make_generator(0, PURPOSE_PERMUTE)) == (0.0, 1.0)
+
+
 def test_non_finite_samples_are_refused_by_name(rng):
     x = rng.standard_normal((20, 2))
     for bad, name in ((np.inf, "first"), (np.nan, "second")):
@@ -114,18 +144,23 @@ def test_packed_sum_matches_the_plain_sum(n, rng):
         assert abs(dcor._permuted_sum(tiles, b, pi) - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
 
 
-def test_permutation_test_holds_at_most_three_square_arrays():
+@pytest.mark.parametrize("which", ["permutation_test", "distance_correlation"])
+def test_dcor_holds_at_most_two_square_arrays(which):
+    # A is packed and dropped before B is built, and no m x m temporary is formed
     m = 1000
     data = np.random.default_rng(11)
     x = data.standard_normal((m, 3))
     y = x[:, :2] ** 2 + data.standard_normal((m, 2))
     tracemalloc.start()
     try:
-        dcor.permutation_test(x, y, 2, make_generator(0, PURPOSE_PERMUTE))
+        if which == "permutation_test":
+            dcor.permutation_test(x, y, 2, make_generator(0, PURPOSE_PERMUTE))
+        else:
+            dcor.distance_correlation(x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 8 * m * m, peak / (8 * m * m)
+    assert peak <= 2.0 * 8 * m * m, peak / (8 * m * m)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (33, 2), (100, 6), (257, 9)])
@@ -134,6 +169,22 @@ def test_double_centred_distances_are_bit_symmetric(shape, rng):
     for sample in (x, x[::-1], x[:, :1], np.asfortranarray(x)):
         a = dcor.double_center(dcor.pairwise_distances(sample))
         assert np.array_equal(a, a.T)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (33, 2), (100, 6), (257, 9)])
+def test_in_place_centred_distances_match_the_two_array_formula(shape, rng):
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 100.0, shape[1])
+    gram = x @ x.T
+    sq = np.diagonal(gram)
+    d2 = np.add.outer(sq, sq)
+    gram *= 2.0
+    d2 -= gram
+    d = np.sqrt(np.clip(d2, 0.0, None))
+    mu = d.mean(axis=0)
+    t = np.add.outer(mu, mu)
+    np.subtract(d, t, out=t)
+    t += mu.mean()
+    assert np.array_equal(dcor.double_center(dcor.pairwise_distances(x)), t)
 
 
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 100, 257])
@@ -172,9 +223,9 @@ def test_statistic_agrees_with_two_mean_centring(rng):
     for n in (31, 200, 1000):
         x = rng.standard_normal((n, 6))
         y = x[:, :3] ** 2 + rng.standard_normal((n, 3))
-        old = dcor._dcor_from_centered(
-            two_mean(dcor.pairwise_distances(x)), two_mean(dcor.pairwise_distances(y))
-        )
+        a = two_mean(dcor.pairwise_distances(x))
+        b = two_mean(dcor.pairwise_distances(y))
+        ref = np.sqrt(np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b)))
         stat, _ = dcor.permutation_test(x, y, 1, make_generator(0, PURPOSE_PERMUTE))
         assert stat == dcor.distance_correlation(x, y)
-        assert abs(stat - old) <= 1e-15 * old
+        assert abs(stat - ref) <= 1e-15 * ref
