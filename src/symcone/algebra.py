@@ -215,8 +215,9 @@ def _check_same_algebra(x: Element, y: Element) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _upper_indices(r: int):
-    return np.triu_indices(r, 1)
+def _index_sets(r: int):
+    """(diagonal, upper row, upper column) indices of an r x r matrix."""
+    return (np.arange(r), *np.triu_indices(r, 1))
 
 
 def coords_to_mats(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
@@ -226,18 +227,18 @@ def coords_to_mats(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(coords, dtype=float)
     r = algebra.param
-    iu, ju = _upper_indices(r)
+    d, iu, ju = _index_sets(r)
     n_off = iu.size
     if algebra.kind is AlgebraKind.SYM_REAL:
         m = np.zeros(c.shape[:-1] + (r, r))
-        m[..., np.arange(r), np.arange(r)] = c[..., :r]
+        m[..., d, d] = c[..., :r]
         off = c[..., r:] / _SQRT2
         m[..., iu, ju] = off
         m[..., ju, iu] = off
         return m
     if algebra.kind is AlgebraKind.HERM_COMPLEX:
         m = np.zeros(c.shape[:-1] + (r, r), dtype=complex)
-        m[..., np.arange(r), np.arange(r)] = c[..., :r]
+        m[..., d, d] = c[..., :r]
         upper = (c[..., r:r + n_off] + 1j * c[..., r + n_off:]) / _SQRT2
         m[..., iu, ju] = upper
         m[..., ju, iu] = upper.conj()
@@ -249,13 +250,13 @@ def mats_to_coords(algebra: Algebra, mats: np.ndarray) -> np.ndarray:
     """Hermitian matrices -> coordinates, inverse of :func:`coords_to_mats`."""
     m = np.asarray(mats)
     r = algebra.param
-    iu, ju = _upper_indices(r)
+    d, iu, ju = _index_sets(r)
     if algebra.kind is AlgebraKind.SYM_REAL:
-        diag = m[..., np.arange(r), np.arange(r)]
+        diag = m[..., d, d]
         off = m[..., iu, ju] * _SQRT2
         return np.concatenate([diag, off], axis=-1)
     if algebra.kind is AlgebraKind.HERM_COMPLEX:
-        diag = m[..., np.arange(r), np.arange(r)].real
+        diag = m[..., d, d].real
         upper = m[..., iu, ju] * _SQRT2
         return np.concatenate([diag, upper.real, upper.imag], axis=-1)
     raise ValueError("no matrix view for the Lorentz family")
@@ -401,11 +402,12 @@ def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     r = algebra.param
     d = np.empty(a.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(r):
+        for k in range(r - 1):
             d[:, k] = a[:, k, k].real
             col = a[:, k + 1:, k]
             # Schur complement: A22 - a21 a21^H / d_k
             a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / d[:, k, None])[:, None, :]
+    d[:, -1] = a[:, -1, -1].real
     return d
 
 

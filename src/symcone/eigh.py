@@ -10,6 +10,8 @@ take the same rotation, with a complex pivot's phase carried in its sine.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import JacobiConvergenceError
@@ -18,13 +20,19 @@ MAX_SWEEPS = 40
 OFF_DIAG_TOL = 1e-15
 
 
+@lru_cache(maxsize=None)
+def _offdiag_mask(n: int) -> np.ndarray:
+    return ~np.eye(n, dtype=bool)
+
+
 def _max_offdiag(b: np.ndarray) -> np.ndarray:
-    n = b.shape[-1]
-    mask = ~np.eye(n, dtype=bool)
-    return np.abs(b[:, mask]).max(axis=1, initial=0.0)
+    return np.abs(b[:, _offdiag_mask(b.shape[-1])]).max(axis=1, initial=0.0)
 
 
-def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int, threshold: np.ndarray) -> None:
+def _rotate(b: np.ndarray, p: int, q: int, threshold: np.ndarray) -> None:
+    """One Jacobi rotation of the (p, q) pivot of each matrix in ``b``, whose
+    rows below the matrix, if any, hold its eigenvectors: the column rotation
+    turns them too."""
     apq = b[:, p, q]
     # only pivots above their own matrix's threshold turn: converged matrices stay untouched
     active = np.abs(apq) > threshold
@@ -36,11 +44,10 @@ def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int, threshold: np.n
     mag = np.abs(apq) if is_complex else apq
     app = b[:, p, p].real
     aqq = b[:, q, q].real
-    with np.errstate(over="ignore"):
-        theta = np.where(active, (aqq - app) / np.where(active, 2.0 * mag, 1.0), 0.0)
+    theta = np.where(active, (aqq - app) / np.where(active, 2.0 * mag, 1.0), 0.0)
     # |theta| beyond ~1e150 would overflow theta^2 and means the pivot is
     # already negligible; the clamp keeps t ~ 0 (no-op rotation) there
-    theta = np.clip(theta, -1e150, 1e150)
+    np.minimum(np.maximum(theta, -1e150, out=theta), 1e150, out=theta)
     hyp = np.sqrt(theta * theta + 1.0)
     # smaller-magnitude root of t^2 + 2*theta*t - 1 = 0, written with a single
     # division whose denominator is always >= 1
@@ -56,25 +63,15 @@ def _rotate(b: np.ndarray, v: np.ndarray | None, p: int, q: int, threshold: np.n
     ss = s[:, None]
     sh = ss.conj()
 
-    bp = b[:, p, :].copy()
-    bq = b[:, q, :].copy()
-    b[:, p, :] = cc * bp - ss * bq
-    b[:, q, :] = sh * bp + cc * bq
-    bp = b[:, :, p].copy()
-    bq = b[:, :, q].copy()
-    b[:, :, p] = cc * bp - sh * bq
-    b[:, :, q] = ss * bp + cc * bq
+    bp, bq = b[:, p, :], b[:, q, :]
+    b[:, p, :], b[:, q, :] = cc * bp - ss * bq, sh * bp + cc * bq
+    bp, bq = b[:, :, p], b[:, :, q]
+    b[:, :, p], b[:, :, q] = cc * bp - sh * bq, ss * bp + cc * bq
     zeroed = np.where(active, 0.0, b[:, p, q])
     b[:, p, q] = zeroed
     b[:, q, p] = zeroed.conj()
     if is_complex:
         b[:, p, p], b[:, q, q] = diag
-
-    if v is not None:
-        vp = v[:, :, p].copy()
-        vq = v[:, :, q].copy()
-        v[:, :, p] = cc * vp - sh * vq
-        v[:, :, q] = ss * vp + cc * vq
 
 
 def jacobi_eigh_batch(mats, compute_vectors: bool = True):
@@ -98,19 +95,24 @@ def jacobi_eigh_batch(mats, compute_vectors: bool = True):
         raise ValueError(f"expected a (N, n, n) stack, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("non-finite entries in eigensolver input")
-    n_mats, n, _ = b.shape
-    v = np.tile(np.eye(n, dtype=b.dtype), (n_mats, 1, 1)) if compute_vectors else None
-
+    n = b.shape[-1]
     scale = np.abs(b).max(axis=(1, 2))
     threshold = np.maximum(scale, np.finfo(float).tiny) * OFF_DIAG_TOL
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    a = b
+    if compute_vectors:
+        # each matrix on top of its eigenvector matrix: one column rotation turns both
+        b = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape)], axis=1)
+        a = b[:, :n]
 
-    for _ in range(MAX_SWEEPS):
-        if np.all(_max_offdiag(b) <= threshold):
-            break
-        for p, q in pairs:
-            _rotate(b, v, p, q, threshold)
-    worst = _max_offdiag(b)
+    # theta in _rotate may overflow before it is clamped
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            if np.all(_max_offdiag(a) <= threshold):
+                break
+            for p, q in pairs:
+                _rotate(b, p, q, threshold)
+    worst = _max_offdiag(a)
     if not np.all(worst <= threshold):
         rel = float((worst / np.maximum(scale, np.finfo(float).tiny)).max())
         raise JacobiConvergenceError(
@@ -118,12 +120,12 @@ def jacobi_eigh_batch(mats, compute_vectors: bool = True):
             f"max relative off-diagonal {rel:.3e}"
         )
 
-    w = np.diagonal(b, axis1=1, axis2=2).real.copy()
+    w = np.diagonal(a, axis1=1, axis2=2).real.copy()
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
-    if compute_vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return w, v
+    if not compute_vectors:
+        return w, None
+    return w, np.take_along_axis(b[:, n:], order[:, None, :], axis=2)
 
 
 def jacobi_eigh(mat, compute_vectors: bool = True):

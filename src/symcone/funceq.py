@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -196,7 +197,8 @@ def _report(equation, algebra, residuals, seed=None) -> ResidualReport:
     arr = np.asarray(residuals, dtype=float)
     return ResidualReport(
         equation=equation,
-        algebra=algebra.spec_string(),
+        # one string per algebra, however many reports a caller keeps
+        algebra=sys.intern(algebra.spec_string()),
         n_pairs=len(arr),
         max_residual=float(arr.max()) if arr.size else 0.0,
         mean_residual=float(arr.mean()) if arr.size else 0.0,
@@ -386,17 +388,23 @@ class ConeBatch(Sequence):
         return _read_only(_inv_sqrt_batch(self.algebra, y))
 
 
+@lru_cache(maxsize=None)
+def _sweep_params(algebra: Algebra) -> WishartParams:
+    """The sweeps' standard Wishart law, certified once per algebra: a shape
+    comfortably above the density threshold, so log det stays tame."""
+    return WishartParams.isotropic(algebra, algebra.dim / algebra.rank + 1.0)
+
+
 def _sweep_batch(algebra, count: int, seed: int, streams, margin: float = 1e-6) -> ConeBatch:
     """One column per stream: its first ``count`` standard Wishart draws that
     pass the open-cone rule at ``margin`` (lambda_min > margin tr), so log det
-    evaluations stay far from the boundary blow-up.  The streams share one
-    certified scale."""
-    # a shape comfortably above the density threshold, so log det stays tame
-    params = WishartParams.isotropic(algebra, algebra.dim / algebra.rank + 1.0)
+    evaluations stay far from the boundary blow-up.  Stream s draws from the
+    sampler streams 64 s .. 64 s + 63, a block no other stream reads."""
+    params = _sweep_params(algebra)
     columns = []
     for stream in streams:
         kept, found = [], 0
-        for attempt in range(65):
+        for attempt in range(64):
             coords = wishart.sample(
                 params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
             ).coords

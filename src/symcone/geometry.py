@@ -66,10 +66,11 @@ class ConeElement:
         return cone
 
     _spectrum = cached_property(lambda c: _Spectrum(c.algebra, c.coords[None], vectors=True))
+    _inverse_root = cached_property(lambda c: Element(c.algebra, _inv_sqrt(c._spectrum)[0]))
 
     def inv_sqrt(self) -> Element:
-        """a^(-1/2), from the cached spectrum."""
-        return Element(self.algebra, _inv_sqrt(self._spectrum)[0])
+        """a^(-1/2), mapped from the cached spectrum once and then kept."""
+        return self._inverse_root
 
     def inverse(self) -> Element:
         """a^(-1), from the cached spectrum."""

@@ -508,11 +508,16 @@ def test_a_pair_batch_is_split_once(eigh_calls):
             reports += log_quadratic_residual(field, pairs)
         return [report.to_json() for report in reports]
 
+    funceq._sweep_params.cache_clear()
     eigh_calls.clear()
     pairs = sample_cone_pairs(SYM3, 40, seed=0)
-    # both streams share one certified scale
+    # both streams share one certified scale, which later samplers reuse
     assert eigh_calls == [1]
     eigh_calls.clear()
+    sample_cone_triples(SYM3, 20, seed=1)
+    assert eigh_calls == []
+    sample_cone_points(SYM3, 20, seed=2)
+    assert eigh_calls == []
     on_batch = sweeps(pairs)
     # one split of x + y and one y^(-1/2) for six sweeps
     assert eigh_calls == [40, 40]
@@ -524,6 +529,21 @@ def test_a_pair_batch_is_split_once(eigh_calls):
         with pytest.raises(ValueError):
             kept[0, 0] = 0.0
     assert sweeps(list(pairs)) == on_batch
+
+
+def test_sweep_streams_retry_on_keys_of_their_own(monkeypatch):
+    # no rank-3 draw has lambda_min > tr / 2, so stream 0 exhausts its retries
+    keys = []
+    sample = wishart.sample
+
+    def recording(params, count, seed, stream=0, **kwargs):
+        keys.append(stream)
+        return sample(params, count, seed, stream=stream, **kwargs)
+
+    monkeypatch.setattr(wishart, "sample", recording)
+    with pytest.raises(RuntimeError, match="rejected too many draws"):
+        _sweep_batch(SYM3, 4, 0, range(2), margin=0.5)
+    assert keys == list(range(64))
 
 
 @pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])

@@ -98,6 +98,13 @@ def test_certificate_matches_spectrum(algebra, rng):
     np.testing.assert_array_equal(ce.coords, x.coords)
 
 
+def test_a_certified_scale_keeps_its_inverse_square_root(algebra, rng):
+    ce = ConeElement.certify(random_cone_element(algebra, rng, ridge=0.5))
+    root = ce.inv_sqrt()
+    assert ce.inv_sqrt() is root
+    np.testing.assert_array_equal(root.coords, inv_sqrt_in_cone(ce.element).coords)
+
+
 def test_p_map_preserves_cone(algebra, rng):
     # quadratic maps of invertible elements permute the open cone
     for _ in range(200 if algebra.dim <= 6 else 50):

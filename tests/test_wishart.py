@@ -8,6 +8,7 @@ from scipy import stats
 
 from _oracles import lorentz2_wishart_normalization, sym2_wishart_normalization
 from _utils import random_element
+from symcone import geometry
 from symcone.algebra import (
     Algebra,
     Element,
@@ -261,6 +262,24 @@ def test_scale_equivariance_two_sample():
     lt_direct = float(np.mean(np.exp(-direct.coords @ t.coords)))
     lt_transport = float(np.mean(np.exp(-transported @ t.coords)))
     assert lt_direct == pytest.approx(lt_transport, rel=0.01)
+
+
+def test_draws_from_one_law_map_its_scale_once(monkeypatch):
+    calls = []
+    inv_sqrt = geometry._inv_sqrt
+
+    def counting(spectrum):
+        calls.append(spectrum)
+        return inv_sqrt(spectrum)
+
+    monkeypatch.setattr(geometry, "_inv_sqrt", counting)
+    c = unit(SYM2).coords.copy()
+    c[0], c[2] = 2.0, 0.5
+    params = WishartParams(SYM2, 3.0, ConeElement.certify(Element(SYM2, c)))
+    first = sample(params, 100, seed=5)
+    second = sample(params, 100, seed=6)
+    assert len(calls) == 1
+    assert not np.array_equal(first.coords, second.coords)
 
 
 @pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "symr:5"])
