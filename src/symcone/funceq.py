@@ -399,23 +399,25 @@ def _sweep_batch(algebra, count: int, seed: int, streams, margin: float = 1e-6) 
     """One column per stream: its first ``count`` standard Wishart draws that
     pass the open-cone rule at ``margin`` (lambda_min > margin tr), so log det
     evaluations stay far from the boundary blow-up.  Stream s draws from the
-    sampler streams 64 s .. 64 s + 63, a block no other stream reads."""
+    sampler streams 64 s .. 64 s + 63, a block no other stream reads; each
+    attempt draws and filters every column still short in one sampler pass."""
     params = _sweep_params(algebra)
-    columns = []
-    for stream in streams:
-        kept, found = [], 0
-        for attempt in range(64):
-            coords = wishart.sample(
-                params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
-            ).coords
-            kept.append(coords[_in_open_cone_ldl(algebra, coords, margin)])
-            found += len(kept[-1])
-            if found >= count:
-                break
-        else:
-            raise RuntimeError("cone-margin filtering rejected too many draws")
-        columns.append(np.concatenate(kept)[:count])
-    return ConeBatch(algebra, columns)
+    size = max(count, 64)
+    kept = [[] for _ in streams]
+    short = list(range(len(streams)))
+    for attempt in range(64):
+        coords = wishart._draw(
+            params, size, seed, [streams[i] * 64 + attempt for i in short], purpose=PURPOSE_PAIRS
+        )
+        inside = _in_open_cone_ldl(algebra, coords, margin).reshape(len(short), size)
+        for i, rows, keep in zip(short, coords.reshape(len(short), size, -1), inside):
+            kept[i].append(rows[keep])
+        short = [i for i in short if sum(map(len, kept[i])) < count]
+        if not short:
+            break
+    else:
+        raise RuntimeError("cone-margin filtering rejected too many draws")
+    return ConeBatch(algebra, [np.concatenate(rows)[:count] for rows in kept])
 
 
 def sample_cone_points(algebra, count: int, seed: int) -> ConeBatch:

@@ -34,6 +34,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,6 +164,13 @@ def mean(params: WishartParams) -> Element:
 # sampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _lower_indices(r: int):
+    """(row, column) indices below the diagonal of an r x r matrix, in the
+    order the Bartlett draws fill them (row-major, unlike the packing order)."""
+    return np.tril_indices(r, -1)
+
+
 def _bartlett_chunk(algebra: Algebra, p: float, m: int, gen: np.random.Generator) -> np.ndarray:
     """Draw m standard (scale = e) Wishart matrices for a matrix kind.
 
@@ -176,7 +184,7 @@ def _bartlett_chunk(algebra: Algebra, p: float, m: int, gen: np.random.Generator
     t = np.zeros((m, r, r), dtype=complex if complex_kind else float)
     for j in range(r):
         t[:, j, j] = np.sqrt(gen.gamma(shape=p - 0.5 * j * d, size=m))
-    il, jl = np.tril_indices(r, -1)
+    il, jl = _lower_indices(r)
     if il.size:
         if complex_kind:
             re = gen.normal(0.0, math.sqrt(0.5), size=(m, il.size))
@@ -307,6 +315,50 @@ class SampleBatch:
         return cls._restore(alg, meta, json.loads(meta["scale"]), rows)
 
 
+def _draw(
+    params: WishartParams,
+    count: int,
+    seed: int,
+    streams,
+    workers: int = 1,
+    purpose: int = rng.PURPOSE_SAMPLE,
+) -> np.ndarray:
+    """``count`` draws of each stream, stacked stream by stream in one
+    (len(streams) * count, dim) array.  A stream's rows depend on neither the
+    other streams nor the worker count: each chunk has its own key, and the
+    scale map and the certificate are row-wise, run once over the array."""
+    alg = params.algebra
+    layout = rng.chunk_layout(count)
+    entries = [(i * count + start, stream, k, size)
+               for i, stream in enumerate(streams) for k, start, size in layout]
+    coords = np.empty((len(streams) * count, alg.dim))
+
+    def fill(entry):
+        start, stream, k, size = entry
+        gen = rng.make_generator(seed, purpose, stream, k)
+        coords[start : start + size] = _standard_chunk_coords(alg, params.p, size, gen)
+
+    if workers > 1 and len(entries) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, entries))
+    else:
+        for entry in entries:
+            fill(entry)
+
+    # standard draws to scale a by the quadratic representation of a^(-1/2)
+    coords = quadratic_action_batch(alg, params.a.inv_sqrt().coords, coords)
+    # each T T^H is in the open cone before rounding, but near the shape
+    # threshold it can be singular to rounding, so certify the closure;
+    # consumers that need the open cone apply their own rule
+    _require_open_cone_ldl(
+        alg, coords, f"sampler produced a draw outside the open cone at shape p={params.p}",
+        eps=-EPS_CONE,
+    )
+    return coords
+
+
 def sample(
     params: WishartParams,
     count: int,
@@ -321,31 +373,5 @@ def sample(
     in fixed-size chunks keyed by (seed, purpose, stream, chunk index), so
     the worker count changes wall time only, never the values.
     """
-    alg = params.algebra
-    layout = rng.chunk_layout(count)
-    coords = np.empty((count, alg.dim))
-
-    def fill(entry):
-        k, start, size = entry
-        gen = rng.make_generator(seed, _purpose, stream, k)
-        coords[start : start + size] = _standard_chunk_coords(alg, params.p, size, gen)
-
-    if workers > 1 and len(layout) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, layout))
-    else:
-        for entry in layout:
-            fill(entry)
-
-    # standard draws to scale a by the quadratic representation of a^(-1/2)
-    coords = quadratic_action_batch(alg, params.a.inv_sqrt().coords, coords)
-    # each T T^H is in the open cone before rounding, but near the shape
-    # threshold it can be singular to rounding, so certify the closure;
-    # consumers that need the open cone apply their own rule
-    _require_open_cone_ldl(
-        alg, coords, f"sampler produced a draw outside the open cone at shape p={params.p}",
-        eps=-EPS_CONE,
-    )
+    coords = _draw(params, count, seed, [stream], workers, _purpose)
     return SampleBatch(params=params, seed=seed, stream=stream, coords=coords)

@@ -54,6 +54,7 @@ from symcone.funceq import (
 )
 from symcone.geometry import ConeElement, contains_open, in_domain_D
 from symcone.harness import split, split_batch
+from symcone.rng import PURPOSE_PAIRS
 
 SYM1 = Algebra.sym_real(1)
 SYM2 = Algebra.sym_real(2)
@@ -532,18 +533,101 @@ def test_a_pair_batch_is_split_once(eigh_calls):
 
 
 def test_sweep_streams_retry_on_keys_of_their_own(monkeypatch):
-    # no rank-3 draw has lambda_min > tr / 2, so stream 0 exhausts its retries
+    # no rank-3 draw has lambda_min > tr / 2, so both streams exhaust their retries
     keys = []
-    sample = wishart.sample
+    draw = wishart._draw
 
-    def recording(params, count, seed, stream=0, **kwargs):
-        keys.append(stream)
-        return sample(params, count, seed, stream=stream, **kwargs)
+    def recording(params, count, seed, streams, **kwargs):
+        keys.append(list(streams))
+        return draw(params, count, seed, streams, **kwargs)
 
-    monkeypatch.setattr(wishart, "sample", recording)
+    monkeypatch.setattr(wishart, "_draw", recording)
     with pytest.raises(RuntimeError, match="rejected too many draws"):
         _sweep_batch(SYM3, 4, 0, range(2), margin=0.5)
-    assert keys == list(range(64))
+    # one sampler pass per attempt; stream s tries exactly 64 s .. 64 s + 63
+    assert keys == [[attempt, 64 + attempt] for attempt in range(64)]
+
+
+def _sweep_oracle(algebra, count, seed, n_streams, margin=1e-6):
+    """Sweep columns drawn stream by stream: one ``sample`` call and one
+    margin filter per stream and attempt."""
+    params = funceq._sweep_params(algebra)
+    columns = []
+    for stream in range(n_streams):
+        kept, found = [], 0
+        for attempt in range(64):
+            coords = wishart.sample(
+                params, max(count, 64), seed, stream=stream * 64 + attempt, _purpose=PURPOSE_PAIRS
+            ).coords
+            kept.append(coords[_in_open_cone_ldl(algebra, coords, margin)])
+            found += len(kept[-1])
+            if found >= count:
+                break
+        else:
+            raise RuntimeError("cone-margin filtering rejected too many draws")
+        columns.append(np.concatenate(kept)[:count])
+    return columns
+
+
+@pytest.mark.parametrize("count", [1, 40, 64, 65, 500])
+@pytest.mark.parametrize(
+    "spec", ["symr:2", "symr:5", "hermc:2", "hermc:4", "lorentz:3", "lorentz:4"]
+)
+def test_stacked_sweep_draws_keep_the_bytes_of_one_stream_at_a_time(spec, count):
+    alg = Algebra.from_spec(spec)
+    for n_streams, sampler in enumerate(
+        (sample_cone_points, sample_cone_pairs, sample_cone_triples), start=1
+    ):
+        batch = sampler(alg, count, seed=count)
+        oracle = _sweep_oracle(alg, count, count, n_streams)
+        assert len(batch.columns) == n_streams
+        for column, expected in zip(batch.columns, oracle):
+            assert column.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec, margin", [("symr:3", 0.2), ("hermc:4", 0.05)])
+def test_stacked_sweep_retries_keep_the_bytes_of_one_stream_at_a_time(spec, margin):
+    # at these margins the three streams fill on different attempts (on
+    # symr:3 after 14, 21 and 15), so later attempts stack fewer streams
+    alg = Algebra.from_spec(spec)
+    batch = _sweep_batch(alg, 40, 3, range(3), margin=margin)
+    for column, expected in zip(batch.columns, _sweep_oracle(alg, 40, 3, 3, margin)):
+        assert column.tobytes() == expected.tobytes()
+
+
+def test_a_sweep_batch_makes_one_certificate_and_one_filter(monkeypatch):
+    funceq._sweep_params(SYM3)  # the certified scale, cached apart from the count
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _ldl_pivots(*args, **kwargs)
+
+    monkeypatch.setattr("symcone.algebra._ldl_pivots", counting)
+    sample_cone_triples(SYM3, 20, seed=1)
+    # three streams, each filled on its first attempt: one closure certificate
+    # and one margin filter over all 192 rows
+    assert len(calls) == 2
+
+
+def test_a_column_may_fill_on_its_last_attempt(monkeypatch):
+    rejections = []
+    in_cone = funceq._in_open_cone_ldl
+
+    def late(algebra, coords, margin):
+        # one filter call per attempt for both columns; every row fails on
+        # the first 63
+        rejections.append(1)
+        inside = in_cone(algebra, coords, margin)
+        return inside if len(rejections) == 64 else np.zeros_like(inside)
+
+    monkeypatch.setattr(funceq, "_in_open_cone_ldl", late)
+    pairs = _sweep_batch(SYM3, 20, 5, range(2))
+    assert len(rejections) == 64 and len(pairs) == 20
+    params = funceq._sweep_params(SYM3)
+    for stream, column in enumerate(pairs.columns):
+        coords = wishart.sample(params, 64, 5, stream=64 * stream + 63, _purpose=PURPOSE_PAIRS).coords
+        assert column.tobytes() == coords[in_cone(SYM3, coords, 1e-6)][:20].tobytes()
 
 
 @pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])
