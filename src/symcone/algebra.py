@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -327,6 +327,18 @@ class _Spectrum:
         return mats_to_coords(alg, _hermitian_part(mats))
 
 
+def _stacked_spectra(algebra: Algebra, *batches: np.ndarray) -> list[_Spectrum]:
+    """The spectra, with eigenvectors, of several (N, dim) batches from one
+    Jacobi call on their stack: each result depends only on its own matrix."""
+    whole = _Spectrum(algebra, np.concatenate(batches), vectors=True)
+    ends = np.cumsum([0] + [len(b) for b in batches])
+    parts = [object.__new__(_Spectrum) for _ in batches]
+    for part, i, j in zip(parts, ends, ends[1:]):
+        part.__dict__ = {k: v[i:j] if isinstance(v, np.ndarray) else v
+                         for k, v in vars(whole).items()}
+    return parts
+
+
 def eigvals_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
     """Jordan eigenvalues for a (N, dim) batch, ascending along the last axis."""
     return _Spectrum(algebra, coords).eigs
@@ -419,14 +431,32 @@ def _in_open_cone_ldl(algebra: Algebra, coords: np.ndarray, eps: float = EPS_CON
     return (tr > 0.0) & (pivots > 0.0).all(axis=1)
 
 
-def _log_det_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
-    """log det of each row of a (N, dim) coordinate batch, from its LDL^H pivots."""
-    return np.sum(np.log(_ldl_pivots(algebra, coords)), axis=-1)
+class _Column:
+    """A read-only (N, dim) batch x whose first use makes one :func:`_ldl_pivots`
+    call on the stacked x, x - EPS_CONE tr(x) e (the open-cone rule of
+    :func:`_in_open_cone_ldl`) and e - x.  Each log det is taken when first
+    read, so a complement that is never read raises no RuntimeWarning."""
+
+    def __init__(self, algebra: Algebra, coords):
+        self.algebra, self.coords = algebra, np.asarray(coords, dtype=float).view()
+        self.coords.setflags(write=False)
+
+    trace = cached_property(lambda c: traces_batch(c.algebra, c.coords))
+
+    @cached_property
+    def pivots(self) -> list[np.ndarray]:
+        x, e = self.coords, _unit_coords(self.algebra)
+        shifted = x - EPS_CONE * self.trace[:, None] * e
+        return np.split(_ldl_pivots(self.algebra, np.concatenate([x, shifted, e - x])), 3)
+
+    inside = cached_property(lambda c: (c.trace > 0.0) & (c.pivots[1] > 0.0).all(axis=1))
+    log_det = cached_property(lambda c: np.sum(np.log(c.pivots[0]), axis=-1))
+    complement_log_det = cached_property(lambda c: np.sum(np.log(c.pivots[2]), axis=-1))
 
 
 def _log_det(x: Element) -> float:
-    """log det of one element, through :func:`_log_det_batch`."""
-    return float(_log_det_batch(x.algebra, x.coords[None])[0])
+    """log det of one element, through :class:`_Column`."""
+    return float(_Column(x.algebra, x.coords[None]).log_det[0])
 
 
 # ---------------------------------------------------------------------------

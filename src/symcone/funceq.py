@@ -34,12 +34,11 @@ from . import wishart
 from .algebra import (
     Algebra,
     Element,
+    _Column,
     _in_open_cone_ldl,
-    _inv_sqrt_batch,
-    _log_det_batch,
-    _unit_coords,
+    _inv_sqrt,
+    _stacked_spectra,
     quadratic_action_batch,
-    traces_batch,
 )
 from .eigh import _least_squares
 from .errors import AlgebraMismatch, DimensionMismatch
@@ -50,15 +49,15 @@ from .wishart import WishartParams
 
 
 class _Kernel:
-    """A built-in map (algebra, (N, dim) coords, ...) -> (N,).  Called on
-    elements, it evaluates the one-row batch, so the scalar and the batch
-    paths share their arithmetic."""
+    """A built-in map (algebra, columns of (N, dim) batches, ...) -> (N,).
+    Called on elements, it evaluates the one-row batch, so the scalar and the
+    batch paths share their arithmetic."""
 
     def __init__(self, batch):
         self.batch = batch
 
     def __call__(self, *points: Element) -> float:
-        return float(self.batch(points[0].algebra, *(p.coords[None] for p in points))[0])
+        return float(_evaluate(self, points[0].algebra, *(p.coords[None] for p in points))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,34 +75,33 @@ class ScalarField:
         return float(self.fn(x))
 
 
-def _evaluate(f, algebra, *coords: np.ndarray) -> np.ndarray:
+def _evaluate(f, algebra, *points) -> np.ndarray:
     """Values of a field, predicate or two-point map on the rows of (N, dim)
-    batches: one call of its batch kernel when it is built in, else the
-    row-wise callable on rebuilt elements (user-supplied maps)."""
+    batches or columns: one call of its batch kernel on columns when it is
+    built in, else the row-wise callable on rebuilt elements (user maps)."""
+    columns = [p if isinstance(p, _Column) else _Column(algebra, p) for p in points]
     kernel = f.fn if isinstance(f, ScalarField) else f
     if isinstance(kernel, _Kernel):
-        return kernel.batch(algebra, *coords)
-    return np.array(
-        [f(*(Element(algebra, row) for row in rows)) for rows in zip(*coords)], dtype=float
-    )
+        return kernel.batch(algebra, *columns)
+    rows = zip(*(column.coords for column in columns))
+    return np.array([f(*(Element(algebra, row) for row in r)) for r in rows], dtype=float)
 
 
 def log_det_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
-    return ScalarField(_Kernel(lambda alg, x: coefficient * _log_det_batch(alg, x)), domain)
+    return ScalarField(_Kernel(lambda alg, x: coefficient * x.log_det), domain)
 
 
 def trace_field(coefficient: float = 1.0, domain: str = "V") -> ScalarField:
-    return ScalarField(_Kernel(lambda alg, x: coefficient * traces_batch(alg, x)), domain)
+    return ScalarField(_Kernel(lambda alg, x: coefficient * x.trace), domain)
 
 
 def det_over_trace_field() -> ScalarField:
     """log det(x) - r log tr(x), homogeneous of order zero."""
-    return ScalarField(_Kernel(lambda alg, x: _log_det_batch(alg, x)
-                               - alg.rank * np.log(traces_batch(alg, x))))
+    return ScalarField(_Kernel(lambda alg, x: x.log_det - alg.rank * np.log(x.trace)))
 
 
 def linear_field(lam: Element, domain: str = "V") -> ScalarField:
-    return ScalarField(_Kernel(lambda alg, x: x @ lam.coords), domain)
+    return ScalarField(_Kernel(lambda alg, x: x.coords @ lam.coords), domain)
 
 
 def with_injected_defect(
@@ -111,7 +109,7 @@ def with_injected_defect(
 ) -> ScalarField:
     """Add ``offset`` on part of the domain (default: where trace exceeds
     half the rank); a negative control for residual detectors."""
-    where = predicate or _Kernel(lambda alg, x: traces_batch(alg, x) > alg.rank / 2.0)
+    where = predicate or _Kernel(lambda alg, x: x.trace > alg.rank / 2.0)
 
     def batch(alg, x):
         return _evaluate(f, alg, x) + np.where(_evaluate(where, alg, x) != 0.0, offset, 0.0)
@@ -132,13 +130,10 @@ class SolutionFamily:
 def make_regular_solution(fam: SolutionFamily):
     """The continuous solution quadruple (a, b, c, d) of the family."""
     lam, c1, c2, kappa = fam.lam.coords, fam.c1, fam.c2, fam.kappa
-    a = _Kernel(lambda alg, x: x @ lam + c1 * _log_det_batch(alg, x) - kappa)
-    b = _Kernel(lambda alg, x: x @ lam + c2 * _log_det_batch(alg, x) + kappa)
-    c = _Kernel(lambda alg, x: x @ lam + (c1 + c2) * _log_det_batch(alg, x))
-    d = _Kernel(
-        lambda alg, u: c1 * _log_det_batch(alg, u)
-        + c2 * _log_det_batch(alg, _unit_coords(alg) - u)
-    )
+    a = _Kernel(lambda alg, x: x.coords @ lam + c1 * x.log_det - kappa)
+    b = _Kernel(lambda alg, x: x.coords @ lam + c2 * x.log_det + kappa)
+    c = _Kernel(lambda alg, x: x.coords @ lam + (c1 + c2) * x.log_det)
+    d = _Kernel(lambda alg, u: c1 * u.log_det + c2 * u.complement_log_det)
     return ScalarField(a, "V"), ScalarField(b, "V"), ScalarField(c, "V"), ScalarField(d, "D")
 
 
@@ -164,11 +159,9 @@ def wishart_dictionary(p1: float, p2: float, a0: ConeElement):
     density = wishart._log_density_batch
     a = _Kernel(lambda alg, x: density(params1, x))
     b = _Kernel(lambda alg, y: density(params2, y))
-    c = _Kernel(lambda alg, v: density(params_v, v) - q * _log_det_batch(alg, v))
+    c = _Kernel(lambda alg, v: density(params_v, v) - q * v.log_det)
     d = _Kernel(
-        lambda alg, u: log_beta_norm
-        + (p1 - q) * _log_det_batch(alg, u)
-        + (p2 - q) * _log_det_batch(alg, _unit_coords(alg) - u)
+        lambda alg, u: log_beta_norm + (p1 - q) * u.log_det + (p2 - q) * u.complement_log_det
     )
     return ScalarField(a, "V"), ScalarField(b, "V"), ScalarField(c, "V"), ScalarField(d, "D")
 
@@ -225,8 +218,7 @@ def olkin_baker_residual(
 ) -> ResidualReport:
     """max/mean of |a(x) + b(y) - c(x+y) - d(u)| over cone pairs."""
     pairs = _as_batch(pairs, "pair")
-    algebra, (x, y) = pairs.algebra, pairs.columns
-    v, u, _ = pairs.split
+    algebra, (x, y, v, u) = pairs.algebra, pairs._factored
     residuals = np.abs(
         _evaluate(a, algebra, x) + _evaluate(b, algebra, y)
         - _evaluate(c, algebra, v) - _evaluate(d, algebra, u)
@@ -255,8 +247,8 @@ def log_quadratic_residual(c: ScalarField, pairs, seed=None):
 def homogeneity_defect(f: ScalarField, scales, points) -> float:
     """max |f(s x) - f(x)|; zero exactly for zero-order homogeneous fields."""
     scales = [float(s) for s in scales]
-    if any(s <= 0.0 for s in scales):
-        raise ValueError("scales must be positive")
+    if not all(0.0 < s < np.inf for s in scales):
+        raise ValueError(f"scales must be finite and positive; got {scales}")
     points = _as_batch(points, "point")
     (x,) = points.columns
     values = _evaluate(f, points.algebra, np.concatenate([x] + [s * x for s in scales]))
@@ -276,6 +268,7 @@ def cocycle_residual(C: Callable[[Element, Element], float], triples, seed=None)
 
 def cauchy_difference(c: ScalarField) -> Callable[[Element, Element], float]:
     def batch(alg, x, y):
+        x, y = x.coords, y.coords
         c_sum, c_x, c_y = np.split(_evaluate(c, alg, np.concatenate([x + y, x, y])), 3)
         return -c_sum + c_x + c_y
 
@@ -350,8 +343,9 @@ class ConeBatch(Sequence):
 
     It is a Sequence of Element tuples: the elements of a row are built when
     it is indexed, and a slice is again a batch.  A pair batch (x, y) keeps
-    its split of x + y and its y^(-1/2) from first use, so every sweep over
-    the same pairs shares one diagonalisation of each.
+    its split of v = x + y, its y^(-1/2) and its x, y, v and u columns from
+    first use, so every sweep over the same pairs shares one diagonalisation
+    of the stacked [v; y] and one factorisation of each column.
     """
 
     algebra: Algebra
@@ -376,16 +370,27 @@ class ConeBatch(Sequence):
         return tuple(Element(self.algebra, c[index]) for c in self.columns)
 
     @cached_property
+    def _spectra(self) -> list:
+        """The spectra of x + y and of y, from one Jacobi call."""
+        x, y = self.columns
+        return _stacked_spectra(self.algebra, x + y, y)
+
+    @cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v, u, u_comp) of the pairs, as :func:`harness.split_batch` gives it."""
         x, y = self.columns
-        return tuple(_read_only(part) for part in split_batch(self.algebra, x, y))
+        s = _inv_sqrt(self._spectra[0])
+        return tuple(_read_only(part) for part in split_batch(self.algebra, x, y, s))
 
     @cached_property
     def y_inv_sqrt(self) -> np.ndarray:
         """y^(-1/2) of each pair (x, y)."""
-        _, y = self.columns
-        return _read_only(_inv_sqrt_batch(self.algebra, y))
+        return _read_only(_inv_sqrt(self._spectra[1]))
+
+    # the x, y, v and u columns of the pairs
+    _factored = cached_property(
+        lambda b: tuple(_Column(b.algebra, c) for c in (*b.columns, *b.split[:2]))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,9 @@ from . import dcor, rng, wishart
 from .algebra import (
     Algebra,
     Element,
+    _Column,
     _in_open_cone_ldl,
     _inv_sqrt_batch,
-    _log_det_batch,
     eigvals_batch,
     eigenvalues,
     quadratic_action,
@@ -62,15 +62,16 @@ def split(x, y, margin: float = DEFAULT_MARGIN) -> SplitPair:
     return SplitPair(v=v, u=quadratic_action(v.inv_sqrt(), xe))
 
 
-def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray):
+def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray, v_inv_sqrt=None):
     """Vectorized split of paired coordinate batches.
 
     Returns (v, u, u_comp) coordinate arrays where u_comp is the image of y
     (so u + u_comp = e identically).  Sums must pass the open-cone rule at
-    EPS_CONE; no margin filtering happens here beyond that.
+    EPS_CONE; no margin filtering happens here beyond that.  A caller that
+    already holds v^(-1/2) passes it as ``v_inv_sqrt``.
     """
     v = x_coords + y_coords
-    s = _inv_sqrt_batch(algebra, v)
+    s = _inv_sqrt_batch(algebra, v) if v_inv_sqrt is None else v_inv_sqrt
     return v, *(quadratic_action_batch(algebra, s, part) for part in (x_coords, y_coords))
 
 
@@ -329,11 +330,11 @@ def density_factorization_check(
     open cone and compare with the closed-form parameters."""
     alg = a.algebra
     params = WishartParams(alg, p, a)
-    coords = np.stack([y.coords for y in grid])
-    values = wishart._log_density_batch(params, coords)
+    x = _Column(alg, np.stack([y.coords for y in grid]))
+    values = wishart._log_density_batch(params, x)
     if not np.isfinite(values).all():
         raise ValueError("grid points must lie in the open cone")
-    rows = np.column_stack([coords, _log_det_batch(alg, coords), np.ones(len(coords))])
+    rows = np.column_stack([x.coords, x.log_det, np.ones(len(x.coords))])
     solution, residual = _least_squares(rows, values, alg.dim + 2, "grid")
     q = alg.dim / alg.rank
     return FactorizationReport(

@@ -44,12 +44,10 @@ from .algebra import (
     Algebra,
     AlgebraKind,
     Element,
+    _Column,
     _hermitian_part,
-    _in_open_cone_ldl,
     _log_det,
-    _log_det_batch,
     _require_open_cone_ldl,
-    _unit_coords,
     inner,
     mats_to_coords,
     quadratic_action,
@@ -112,10 +110,10 @@ class WishartParams:
         if self.a.algebra != self.algebra:
             raise ValueError("scale element belongs to a different algebra")
         thr = shape_threshold(self.algebra)
-        if not self.p > thr:
+        if not (math.isfinite(self.p) and self.p > thr):
             raise ValueError(
                 f"shape p={self.p} out of range for {self.algebra.spec_string()}: "
-                f"requires p > {thr} (= dim/r - 1)"
+                f"requires a finite p > {thr} (= dim/r - 1)"
             )
         # the scale-dependent density constant, computed once (hot loops)
         log_norm = self.p * _log_det(self.a.element) - log_multivariate_gamma(self.algebra, self.p)
@@ -126,21 +124,21 @@ class WishartParams:
         return cls(algebra, p, ConeElement.certify(scale * unit(algebra)))
 
 
-def _log_density_batch(params: WishartParams, coords: np.ndarray) -> np.ndarray:
-    """Log density at each row of a (N, dim) batch; -inf off the open cone."""
+def _log_density_batch(params: WishartParams, x: _Column) -> np.ndarray:
+    """Log density at each row of a column; -inf off the open cone."""
     alg = params.algebra
-    inside = _in_open_cone_ldl(alg, coords)
     q = alg.dim / alg.rank
-    log_det = _log_det_batch(alg, np.where(inside[:, None], coords, _unit_coords(alg)))
-    values = params._log_norm + (params.p - q) * log_det - coords @ params.a.coords
-    return np.where(inside, values, -np.inf)
+    # the log det of the rows inside; off the cone that of e, 0
+    log_det = np.sum(np.log(np.where(x.inside[:, None], x.pivots[0], 1.0)), axis=-1)
+    values = params._log_norm + (params.p - q) * log_det - x.coords @ params.a.coords
+    return np.where(x.inside, values, -np.inf)
 
 
 def log_density(params: WishartParams, y: Element) -> float:
     """Log density at y; -inf off the open cone (the support indicator)."""
     if y.algebra != params.algebra:
         raise ValueError("evaluation point belongs to a different algebra")
-    return float(_log_density_batch(params, y.coords[None])[0])
+    return float(_log_density_batch(params, _Column(params.algebra, y.coords[None]))[0])
 
 
 def laplace_transform(params: WishartParams, t: Element) -> float:

@@ -16,10 +16,10 @@ from symcone.algebra import (
     Element,
     EPS_CONE,
     LinearMap,
+    _Column,
     _in_open_cone,
     _in_open_cone_ldl,
     _ldl_pivots,
-    _log_det_batch,
     _unit_coords,
     apply,
     coords_to_mats,
@@ -301,7 +301,7 @@ def test_log_det_is_accurate_on_ill_conditioned_points():
     w = eigvals_batch(sym3, points)
     kappa = w[:, -1] / w[:, 0]
     assert kappa.max() > 1e6
-    err = np.abs(_log_det_batch(sym3, points) - exact)
+    err = np.abs(_Column(sym3, points).log_det - exact)
     # backward stable: a few eps times the condition number, plus the final rounding
     assert (err <= 8.0 * np.finfo(float).eps * (kappa + np.abs(exact))).all()
     assert err.max() < 1e-10

@@ -220,8 +220,9 @@ def test_points_are_the_pairs_first_column():
 
 
 def test_homogeneity_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        homogeneity_defect(trace_field(), [-1.0], [unit(SYM2)])
+    for scale in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"finite and positive; got \[2\.0, {scale!r}\]$"):
+            homogeneity_defect(trace_field(), [2.0, scale], [unit(SYM2)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +426,8 @@ def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
         counts = []
         for n in (10, 200):
             calls.clear()
-            sweep(*inputs[n])
+            # a slice is a fresh batch, with nothing cached by earlier sweeps
+            sweep(*(batch[:] for batch in inputs[n]))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, name
 
@@ -447,7 +449,7 @@ def test_cone_decisions_make_no_eigensolver_call(eigh_calls):
         assert count(in_domain_D, 0.5 * unit(alg)) == 0
         # a^(-1/2) comes from the spectrum the certified scale keeps
         assert count(wishart.laplace_transform, params, x) == 0
-        # split_batch diagonalises v once; the three log-density fields make no call
+        # one Jacobi call on the stacked [v; y]; the three log-density fields make none
         assert count(olkin_baker_residual, *dictionary, pairs) == 1
 
 
@@ -520,8 +522,8 @@ def test_a_pair_batch_is_split_once(eigh_calls):
     sample_cone_points(SYM3, 20, seed=2)
     assert eigh_calls == []
     on_batch = sweeps(pairs)
-    # one split of x + y and one y^(-1/2) for six sweeps
-    assert eigh_calls == [40, 40]
+    # one Jacobi call on the stacked [x + y; y] for six sweeps
+    assert eigh_calls == [80]
     x, y = pairs.columns
     for kept, fresh in zip((*pairs.split, pairs.y_inv_sqrt),
                            (*split_batch(SYM3, x, y), _inv_sqrt_batch(SYM3, y))):
@@ -530,6 +532,75 @@ def test_a_pair_batch_is_split_once(eigh_calls):
         with pytest.raises(ValueError):
             kept[0, 0] = 0.0
     assert sweeps(list(pairs)) == on_batch
+
+
+def test_a_sweep_round_factors_each_column_once(monkeypatch, eigh_calls):
+    a, b, c, d = make_regular_solution(FAMILIES[1])
+    quadruples = [
+        make_regular_solution(FAMILIES[2]),
+        (a, b, c, d),
+        wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(SYM3))),
+        (a, b, c, with_injected_defect(d, 0.1)),
+    ]
+    cocycle = cauchy_difference(log_det_field())
+    funceq._sweep_params(SYM3)  # the certified scale, cached apart from the round
+    eigh_calls.clear()
+    pivot_calls = []
+
+    def counting(*args, **kwargs):
+        pivot_calls.append(1)
+        return _ldl_pivots(*args, **kwargs)
+
+    monkeypatch.setattr("symcone.algebra._ldl_pivots", counting)
+    # a round of the funceq-symr3 benchmark: 40 pairs, 20 triples, seven sweeps
+    pairs = sample_cone_pairs(SYM3, 40, seed=0)
+    triples = sample_cone_triples(SYM3, 20, seed=1)
+    for quadruple in quadruples:
+        olkin_baker_residual(*quadruple, pairs)
+    log_quadratic_residual(log_det_field(0.8), pairs)
+    log_quadratic_residual(trace_field(), pairs)
+    cocycle_residual(cocycle, triples)
+    # two samplers (a certificate and a margin filter each), the x, y, v and
+    # u columns, the log-quadratic points and the cocycle points
+    assert len(pivot_calls) <= 10
+    assert eigh_calls == [80]
+
+
+@pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])
+def test_cached_columns_give_the_bytes_of_fresh_arrays(spec):
+    alg = Algebra.from_spec(spec)
+    x, y = (np.array(c) for c in sample_cone_pairs(alg, 40, seed=12).columns)
+    # every fourth x leaves the cone (x = -y/2) while x + y = y/2 stays in it
+    x[::4] = -0.5 * y[::4]
+    pairs = ConeBatch(alg, [x, y])
+    lam = Element(alg, np.linspace(-1.0, 1.0, alg.dim))
+    dictionary = wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(alg)))
+    fields = [
+        log_det_field(0.8), trace_field(2.0), linear_field(lam), det_over_trace_field(),
+        with_injected_defect(log_det_field(), 0.1),
+        *make_regular_solution(SolutionFamily(lam=lam, c1=0.7, c2=-1.3, kappa=0.4)),
+        *dictionary,
+    ]
+    C = cauchy_difference(log_det_field())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        olkin_baker_residual(*dictionary, pairs)  # fills the columns' caches
+        columns = pairs._factored
+        for column in columns:
+            # the kernels a column stands in for
+            coords = np.array(column.coords)
+            for log_det, part in ((column.log_det, coords),
+                                  (column.complement_log_det, unit(alg).coords - coords)):
+                alone = np.sum(np.log(_ldl_pivots(alg, part)), axis=-1)
+                assert log_det.tobytes() == alone.tobytes()
+            assert np.array_equal(column.inside, _in_open_cone_ldl(alg, coords))
+        for f in fields:
+            for column in columns:
+                fresh = _evaluate(f, alg, np.array(column.coords))
+                assert _evaluate(f, alg, column).tobytes() == fresh.tobytes()
+        fresh = _evaluate(C, alg, x, y)
+        assert _evaluate(C, alg, *columns[:2]).tobytes() == fresh.tobytes()
+    density = _evaluate(dictionary[0], alg, columns[0])
+    assert np.isneginf(density[::4]).all() and np.isfinite(density[1::4]).all()
 
 
 def test_sweep_streams_retry_on_keys_of_their_own(monkeypatch):

@@ -9,6 +9,7 @@ from symcone import cli
 from symcone.algebra import (
     Algebra,
     Element,
+    _ldl_pivots,
     apply,
     eigvals_batch,
     p_map,
@@ -286,6 +287,22 @@ def test_factorization_anisotropic_scale():
     params = WishartParams(SYM2, 2.5, a)
     report = density_factorization_check(2.5, a, _grid(params, 300, seed=9))
     np.testing.assert_allclose(report.lambda_coords, -np.asarray(a.coords), atol=1e-8)
+
+
+def test_factorization_factors_its_grid_once(monkeypatch):
+    a = cone_unit(SYM2)
+    grid = _grid(WishartParams(SYM2, 3.0, a), 200, seed=8)
+    rows = []
+
+    def counting(alg, coords):
+        rows.append(len(coords))
+        return _ldl_pivots(alg, coords)
+
+    monkeypatch.setattr("symcone.algebra._ldl_pivots", counting)
+    density_factorization_check(3.0, a, grid)
+    # the scale's log det, then the grid's density and log-det regressor:
+    # each one factorisation of x, its open-cone shift and e - x
+    assert rows == [3, 3 * 200]
 
 
 def test_factorization_rejects_degenerate_grid():

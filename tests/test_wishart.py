@@ -23,6 +23,7 @@ from symcone.algebra import (
     unit,
 )
 from symcone.errors import NotInCone, OutOfRegion, PoleError
+from symcone.funceq import wishart_dictionary
 from symcone.geometry import ConeElement
 from symcone.wishart import (
     SampleBatch,
@@ -86,6 +87,15 @@ def test_params_validate_shape_and_scale():
     other = ConeElement.certify(unit(SYM3))
     with pytest.raises(ValueError, match="different algebra"):
         WishartParams(SYM2, 3.0, other)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_params_require_a_finite_shape(p):
+    e = ConeElement.certify(unit(SYM3))
+    with pytest.raises(ValueError, match=rf"p={p} .* requires a finite p > 1\.0"):
+        WishartParams(SYM3, p, e)
+    with pytest.raises(ValueError, match=rf"p={p} "):
+        wishart_dictionary(p, 3.0, e)
 
 
 # ---------------------------------------------------------------------------
