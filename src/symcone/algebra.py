@@ -20,6 +20,7 @@ keep their rank-2 spectral definitions (det = x_0^2 - |xbar|^2, tr = 2 x_0).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -326,17 +327,23 @@ class _Spectrum:
         mats = np.einsum("nij,nj,nkj->nik", self._v, fn(self.eigs), self._v.conj())
         return mats_to_coords(alg, _hermitian_part(mats))
 
+    def rows(self, start: int, stop: int) -> _Spectrum:
+        """The spectrum of rows start..stop-1, sliced from this one."""
+        part = copy.copy(self)
+        part.eigs = self.eigs[start:stop]
+        if self.algebra.kind is AlgebraKind.LORENTZ:
+            part._xbar, part._nrm = self._xbar[start:stop], self._nrm[start:stop]
+        elif self._v is not None:
+            part._v = self._v[start:stop]
+        return part
+
 
 def _stacked_spectra(algebra: Algebra, *batches: np.ndarray) -> list[_Spectrum]:
-    """The spectra, with eigenvectors, of several (N, dim) batches from one
+    """The spectra, with eigenvectors, of (N, dim) batches of one length from one
     Jacobi call on their stack: each result depends only on its own matrix."""
+    n = len(batches[0])
     whole = _Spectrum(algebra, np.concatenate(batches), vectors=True)
-    ends = np.cumsum([0] + [len(b) for b in batches])
-    parts = [object.__new__(_Spectrum) for _ in batches]
-    for part, i, j in zip(parts, ends, ends[1:]):
-        part.__dict__ = {k: v[i:j] if isinstance(v, np.ndarray) else v
-                         for k, v in vars(whole).items()}
-    return parts
+    return [whole.rows(i * n, (i + 1) * n) for i in range(len(batches))]
 
 
 def eigvals_batch(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
@@ -432,26 +439,31 @@ def _in_open_cone_ldl(algebra: Algebra, coords: np.ndarray, eps: float = EPS_CON
 
 
 class _Column:
-    """A read-only (N, dim) batch x whose first use makes one :func:`_ldl_pivots`
-    call on the stacked x, x - EPS_CONE tr(x) e (the open-cone rule of
-    :func:`_in_open_cone_ldl`) and e - x.  Each log det is taken when first
-    read, so a complement that is never read raises no RuntimeWarning."""
+    """A read-only (N, dim) batch x that keeps the LDL^H pivots of its parts
+    once read: "x", "shifted" (x - EPS_CONE tr(x) e, the open-cone rule of
+    :func:`_in_open_cone_ldl`) and "complement" (e - x).  A read factors the
+    parts it names and does not hold yet in one :func:`_ldl_pivots` call, or
+    all three if ``every_part`` is set; each log det is taken when first read."""
 
-    def __init__(self, algebra: Algebra, coords):
+    def __init__(self, algebra: Algebra, coords, every_part: bool = False):
         self.algebra, self.coords = algebra, np.asarray(coords, dtype=float).view()
         self.coords.setflags(write=False)
+        self._pivots, self._every_part = {}, every_part
+
+    def pivots(self, *parts: str) -> list[np.ndarray]:
+        x, e = self.coords, _unit_coords(self.algebra)
+        stacks = {"x": lambda: x, "shifted": lambda: x - EPS_CONE * self.trace[:, None] * e,
+                  "complement": lambda: e - x}
+        wanted = stacks if self._every_part else parts
+        if missing := [part for part in wanted if part not in self._pivots]:
+            found = _ldl_pivots(self.algebra, np.concatenate([stacks[part]() for part in missing]))
+            self._pivots.update(zip(missing, found.reshape(len(missing), len(x), found.shape[1])))
+        return [self._pivots[part] for part in parts]
 
     trace = cached_property(lambda c: traces_batch(c.algebra, c.coords))
-
-    @cached_property
-    def pivots(self) -> list[np.ndarray]:
-        x, e = self.coords, _unit_coords(self.algebra)
-        shifted = x - EPS_CONE * self.trace[:, None] * e
-        return np.split(_ldl_pivots(self.algebra, np.concatenate([x, shifted, e - x])), 3)
-
-    inside = cached_property(lambda c: (c.trace > 0.0) & (c.pivots[1] > 0.0).all(axis=1))
-    log_det = cached_property(lambda c: np.sum(np.log(c.pivots[0]), axis=-1))
-    complement_log_det = cached_property(lambda c: np.sum(np.log(c.pivots[2]), axis=-1))
+    inside = cached_property(lambda c: (c.trace > 0) & (c.pivots("shifted")[0] > 0).all(axis=1))
+    log_det = cached_property(lambda c: np.sum(np.log(c.pivots("x")[0]), axis=-1))
+    complement_log_det = cached_property(lambda c: np.sum(np.log(c.pivots("complement")[0]), -1))
 
 
 def _log_det(x: Element) -> float:

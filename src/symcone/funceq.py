@@ -37,6 +37,7 @@ from .algebra import (
     _Column,
     _in_open_cone_ldl,
     _inv_sqrt,
+    _inv_sqrt_batch,
     _stacked_spectra,
     quadratic_action_batch,
 )
@@ -337,6 +338,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# up to this many pairs a batched Jacobi or LDL^H call costs mostly its fixed
+# work, so a pair batch computes at once what any later sweep may read
+SMALL_BATCH = 64
+
+
 @dataclass(frozen=True, eq=False)
 class ConeBatch(Sequence):
     """Cone points, pairs or triples as read-only (N, dim) coordinate columns.
@@ -345,7 +351,8 @@ class ConeBatch(Sequence):
     it is indexed, and a slice is again a batch.  A pair batch (x, y) keeps
     its split of v = x + y, its y^(-1/2) and its x, y, v and u columns from
     first use, so every sweep over the same pairs shares one diagonalisation
-    of the stacked [v; y] and one factorisation of each column.
+    of v, one of y and one factorisation of each column; at most SMALL_BATCH
+    pairs share one Jacobi call for v and y and factor all of a column at once.
     """
 
     algebra: Algebra
@@ -369,28 +376,29 @@ class ConeBatch(Sequence):
         index = operator.index(index)
         return tuple(Element(self.algebra, c[index]) for c in self.columns)
 
-    @cached_property
-    def _spectra(self) -> list:
-        """The spectra of x + y and of y, from one Jacobi call."""
+    # the spectra of v and y of a small pair batch, from one Jacobi call
+    _spectra = cached_property(
+        lambda b: _stacked_spectra(b.algebra, b.columns[0] + b.columns[1], b.columns[1]))
+
+    def _root(self, part: int) -> np.ndarray:
+        """v^(-1/2) (part 0) or y^(-1/2) (part 1) of the pairs, each checked on its own."""
         x, y = self.columns
-        return _stacked_spectra(self.algebra, x + y, y)
+        if len(self) > SMALL_BATCH:
+            return _inv_sqrt_batch(self.algebra, (x + y, y)[part])
+        return _inv_sqrt(self._spectra[part])
 
     @cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v, u, u_comp) of the pairs, as :func:`harness.split_batch` gives it."""
         x, y = self.columns
-        s = _inv_sqrt(self._spectra[0])
-        return tuple(_read_only(part) for part in split_batch(self.algebra, x, y, s))
+        return tuple(map(_read_only, split_batch(self.algebra, x, y, self._root(0))))
 
-    @cached_property
-    def y_inv_sqrt(self) -> np.ndarray:
-        """y^(-1/2) of each pair (x, y)."""
-        return _read_only(_inv_sqrt(self._spectra[1]))
+    # y^(-1/2) of each pair (x, y)
+    y_inv_sqrt = cached_property(lambda b: _read_only(b._root(1)))
 
-    # the x, y, v and u columns of the pairs
-    _factored = cached_property(
-        lambda b: tuple(_Column(b.algebra, c) for c in (*b.columns, *b.split[:2]))
-    )
+    # the x, y, v and u columns of the pairs, factored on first read
+    _factored = cached_property(lambda b: [_Column(b.algebra, c, every_part=len(b) <= SMALL_BATCH)
+                                           for c in b.columns + b.split[:2]])
 
 
 @lru_cache(maxsize=None)

@@ -63,12 +63,11 @@ def split(x, y, margin: float = DEFAULT_MARGIN) -> SplitPair:
 
 
 def split_batch(algebra: Algebra, x_coords: np.ndarray, y_coords: np.ndarray, v_inv_sqrt=None):
-    """Vectorized split of paired coordinate batches.
+    """Vectorized split of paired coordinate batches, given v^(-1/2) if known.
 
     Returns (v, u, u_comp) coordinate arrays where u_comp is the image of y
     (so u + u_comp = e identically).  Sums must pass the open-cone rule at
-    EPS_CONE; no margin filtering happens here beyond that.  A caller that
-    already holds v^(-1/2) passes it as ``v_inv_sqrt``.
+    EPS_CONE; no margin filtering happens here beyond that.
     """
     v = x_coords + y_coords
     s = _inv_sqrt_batch(algebra, v) if v_inv_sqrt is None else v_inv_sqrt

@@ -128,8 +128,9 @@ def _log_density_batch(params: WishartParams, x: _Column) -> np.ndarray:
     """Log density at each row of a column; -inf off the open cone."""
     alg = params.algebra
     q = alg.dim / alg.rank
+    pivots, _ = x.pivots("x", "shifted")  # log det and support test, one factorisation
     # the log det of the rows inside; off the cone that of e, 0
-    log_det = np.sum(np.log(np.where(x.inside[:, None], x.pivots[0], 1.0)), axis=-1)
+    log_det = np.sum(np.log(np.where(x.inside[:, None], pivots, 1.0)), axis=-1)
     values = params._log_norm + (params.p - q) * log_det - x.coords @ params.a.coords
     return np.where(x.inside, values, -np.inf)
 

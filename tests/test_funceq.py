@@ -26,8 +26,9 @@ from symcone.algebra import (
     traces_batch,
     unit,
 )
-from symcone.errors import AlgebraMismatch
+from symcone.errors import AlgebraMismatch, NotInCone
 from symcone.funceq import (
+    SMALL_BATCH,
     ConeBatch,
     ResidualReport,
     ScalarField,
@@ -406,9 +407,12 @@ def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
             log_det_field(), [0.5, 2.0], [x for x, _ in pairs]
         ),
     }
+    # a small batch computes at once what a large one computes on demand, so
+    # the count is fixed on each side of SMALL_BATCH
+    sizes = [(10, SMALL_BATCH), (SMALL_BATCH + 1, 200)]
     inputs = {
         n: (sample_cone_pairs(SYM3, n, seed=41), sample_cone_triples(SYM3, n, seed=42))
-        for n in (10, 200)
+        for n in sum(sizes, ())
     }
     calls = []
 
@@ -423,13 +427,14 @@ def test_sweeps_make_a_fixed_number_of_eigensolver_calls(monkeypatch):
     monkeypatch.setattr(eigh, "jacobi_eigh_batch", counting(eigh.jacobi_eigh_batch))
     monkeypatch.setattr("symcone.algebra._ldl_pivots", counting(_ldl_pivots))
     for name, sweep in sweeps.items():
-        counts = []
-        for n in (10, 200):
-            calls.clear()
-            # a slice is a fresh batch, with nothing cached by earlier sweeps
-            sweep(*(batch[:] for batch in inputs[n]))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, name
+        for pair in sizes:
+            counts = []
+            for n in pair:
+                calls.clear()
+                # a slice is a fresh batch, with nothing cached by earlier sweeps
+                sweep(*(batch[:] for batch in inputs[n]))
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0, (name, pair)
 
 
 def test_cone_decisions_make_no_eigensolver_call(eigh_calls):
@@ -449,7 +454,7 @@ def test_cone_decisions_make_no_eigensolver_call(eigh_calls):
         assert count(in_domain_D, 0.5 * unit(alg)) == 0
         # a^(-1/2) comes from the spectrum the certified scale keeps
         assert count(wishart.laplace_transform, params, x) == 0
-        # one Jacobi call on the stacked [v; y]; the three log-density fields make none
+        # one Jacobi call on the small batch's stacked [v; y]; the density fields make none
         assert count(olkin_baker_residual, *dictionary, pairs) == 1
 
 
@@ -566,10 +571,52 @@ def test_a_sweep_round_factors_each_column_once(monkeypatch, eigh_calls):
     assert eigh_calls == [80]
 
 
+def test_a_sweep_factors_and_diagonalises_only_what_it_reads(monkeypatch, eigh_calls):
+    n = SMALL_BATCH + 1
+    pairs, triples = sample_cone_pairs(SYM3, n, seed=0), sample_cone_triples(SYM3, n, seed=1)
+    rows = []
+
+    def counting(alg, coords):
+        rows.append(len(coords))
+        return _ldl_pivots(alg, coords)
+
+    monkeypatch.setattr("symcone.algebra._ldl_pivots", counting)
+    dictionary = wishart_dictionary(3.0, 4.0, ConeElement.certify(unit(SYM3)))
+    cases = [
+        # x, y, v, u and e - u; v's split diagonalises x + y only
+        (olkin_baker_residual, (*make_regular_solution(FAMILIES[1]), pairs), [n] * 5, [n]),
+        # each density reads a column and its open-cone shift in one call
+        (olkin_baker_residual, (*dictionary, pairs), [2 * n] * 3 + [n, n], [n]),
+        # the four point sets as one column; y^(-1/2) diagonalises y only
+        (log_quadratic_residual, (log_det_field(), pairs), [4 * n], [n]),
+        (cocycle_residual, (cauchy_difference(log_det_field()), triples), [3 * 4 * n], []),
+    ]
+    for sweep, args, factored, diagonalised in cases:
+        rows.clear()
+        eigh_calls.clear()
+        # a slice is a fresh batch, with nothing cached by earlier sweeps
+        sweep(*args[:-1], args[-1][:])
+        assert (rows, eigh_calls) == (factored, diagonalised), sweep.__name__
+    # a small batch factors all three parts of a column at its first read, and
+    # diagonalises [v; y] once for its split, so a log-quadratic sweep after
+    # an Olkin-Baker sweep makes no Jacobi call
+    small = pairs[:SMALL_BATCH]
+    rows.clear()
+    eigh_calls.clear()
+    olkin_baker_residual(*make_regular_solution(FAMILIES[1]), small)
+    assert (rows, eigh_calls) == ([3 * SMALL_BATCH] * 4, [2 * SMALL_BATCH])
+    rows.clear()
+    eigh_calls.clear()
+    olkin_baker_residual(*dictionary, small)
+    log_quadratic_residual(log_det_field(), small)
+    assert (rows, eigh_calls) == ([4 * SMALL_BATCH], [])
+
+
+@pytest.mark.parametrize("count", [40, SMALL_BATCH + 1])
 @pytest.mark.parametrize("spec", ["symr:3", "hermc:3", "lorentz:4"])
-def test_cached_columns_give_the_bytes_of_fresh_arrays(spec):
+def test_cached_columns_give_the_bytes_of_fresh_arrays(spec, count):
     alg = Algebra.from_spec(spec)
-    x, y = (np.array(c) for c in sample_cone_pairs(alg, 40, seed=12).columns)
+    x, y = (np.array(c) for c in sample_cone_pairs(alg, count, seed=12).columns)
     # every fourth x leaves the cone (x = -y/2) while x + y = y/2 stays in it
     x[::4] = -0.5 * y[::4]
     pairs = ConeBatch(alg, [x, y])
@@ -601,6 +648,21 @@ def test_cached_columns_give_the_bytes_of_fresh_arrays(spec):
         assert _evaluate(C, alg, *columns[:2]).tobytes() == fresh.tobytes()
     density = _evaluate(dictionary[0], alg, columns[0])
     assert np.isneginf(density[::4]).all() and np.isfinite(density[1::4]).all()
+    # the split and y^(-1/2), from one stacked Jacobi call or apart, keep their bytes
+    for kept, fresh in zip((*pairs.split, pairs.y_inv_sqrt),
+                           (*split_batch(alg, x, y), _inv_sqrt_batch(alg, y))):
+        assert kept.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("count", [40, SMALL_BATCH + 1])
+def test_a_pair_batch_checks_v_and_y_apart(count):
+    x, y = (np.array(c) for c in sample_cone_pairs(SYM3, count, seed=13).columns)
+    # y leaves the cone in one row while x + y stays inside
+    x[5], y[5] = x[5] + y[5], -0.25 * y[5]
+    pairs = ConeBatch(SYM3, [x, y])
+    assert np.array_equal(pairs.split[0], x + y)
+    with pytest.raises(NotInCone, match="inverse square root"):
+        pairs.y_inv_sqrt
 
 
 def test_sweep_streams_retry_on_keys_of_their_own(monkeypatch):
@@ -734,7 +796,8 @@ def test_a_cone_batch_is_a_sequence_of_element_tuples(spec):
 def test_only_the_batch_type_splits_or_inverts_its_pairs():
     # a sweep reads the split and y^(-1/2) its batch keeps, so no sweep
     # diagonalises its inputs again
-    names = {"split_batch", "_inv_sqrt_batch"}
+    names = {"split_batch", "_inv_sqrt_batch", "_inv_sqrt", "_stacked_spectra", "_Spectrum",
+             "eigvals_batch", "jacobi_eigh_batch"}
     tree = ast.parse(Path(funceq.__file__).read_text())
     owner = next(
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ConeBatch"

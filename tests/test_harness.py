@@ -300,9 +300,9 @@ def test_factorization_factors_its_grid_once(monkeypatch):
 
     monkeypatch.setattr("symcone.algebra._ldl_pivots", counting)
     density_factorization_check(3.0, a, grid)
-    # the scale's log det, then the grid's density and log-det regressor:
-    # each one factorisation of x, its open-cone shift and e - x
-    assert rows == [3, 3 * 200]
+    # the scale's log det, then one factorisation of the grid and its open-cone
+    # shift for the density, whose log det the regressor reuses
+    assert rows == [1, 2 * 200]
 
 
 def test_factorization_rejects_degenerate_grid():
