@@ -216,9 +216,22 @@ def _check_same_algebra(x: Element, y: Element) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _index_sets(r: int):
-    """(diagonal, upper row, upper column) indices of an r x r matrix."""
-    return (np.arange(r), *np.triu_indices(r, 1))
+def _packing(kind: AlgebraKind, r: int):
+    """Gather maps of a matrix kind's layout.  For each entry of an r x r matrix,
+    ``src`` is its coordinate (for the Hermitian kind, its index in [diagonal,
+    upper, conj(upper)]) and ``div`` is 1.0 on the diagonal, sqrt(2) off it; for
+    each diagonal, then upper, coordinate, ``inv`` is its flat entry and ``mul``
+    its multiplier, 1.0 or sqrt(2).  The Hermitian kind scales its complex upper
+    part itself: a real divisor or multiplier would flip the sign of some zeros."""
+    d, (iu, ju) = np.arange(r), np.triu_indices(r, 1)
+    src = np.empty((r, r), dtype=np.intp)
+    src[d, d], src[iu, ju] = d, r + np.arange(iu.size)
+    src[ju, iu] = src[iu, ju] + (iu.size if kind is AlgebraKind.HERM_COMPLEX else 0)
+    inv = np.concatenate([d * (r + 1), iu * r + ju])
+    div, mul = np.where(src < r, 1.0, _SQRT2), np.where(np.arange(inv.size) < r, 1.0, _SQRT2)
+    for a in (src, div, inv, mul):
+        a.setflags(write=False)
+    return src, div, inv, mul
 
 
 def coords_to_mats(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
@@ -226,41 +239,34 @@ def coords_to_mats(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
 
     Accepts any leading batch shape: ``(..., dim) -> (..., r, r)``.
     """
+    if algebra.kind is AlgebraKind.LORENTZ:
+        raise ValueError("no matrix view for the Lorentz family")
     c = np.asarray(coords, dtype=float)
+    if c.shape[-1:] != (algebra.dim,):
+        raise DimensionMismatch(f"coords shape {c.shape} does not end in dim {algebra.dim}")
     r = algebra.param
-    d, iu, ju = _index_sets(r)
-    n_off = iu.size
+    src, div, _, _ = _packing(algebra.kind, r)
     if algebra.kind is AlgebraKind.SYM_REAL:
-        m = np.zeros(c.shape[:-1] + (r, r))
-        m[..., d, d] = c[..., :r]
-        off = c[..., r:] / _SQRT2
-        m[..., iu, ju] = off
-        m[..., ju, iu] = off
-        return m
-    if algebra.kind is AlgebraKind.HERM_COMPLEX:
-        m = np.zeros(c.shape[:-1] + (r, r), dtype=complex)
-        m[..., d, d] = c[..., :r]
-        upper = (c[..., r:r + n_off] + 1j * c[..., r + n_off:]) / _SQRT2
-        m[..., iu, ju] = upper
-        m[..., ju, iu] = upper.conj()
-        return m
-    raise ValueError("no matrix view for the Lorentz family")
+        return c[..., src] / div
+    h = (r * r + r) // 2
+    upper = (c[..., r:h] + 1j * c[..., h:]) / _SQRT2
+    whole = np.concatenate([c[..., :r], upper, upper.conj()], axis=-1)
+    del upper  # the gather's peak holds only its source and its result
+    return whole[..., src]
 
 
 def mats_to_coords(algebra: Algebra, mats: np.ndarray) -> np.ndarray:
     """Hermitian matrices -> coordinates, inverse of :func:`coords_to_mats`."""
+    if algebra.kind is AlgebraKind.LORENTZ:
+        raise ValueError("no matrix view for the Lorentz family")
     m = np.asarray(mats)
     r = algebra.param
-    d, iu, ju = _index_sets(r)
+    _, _, inv, mul = _packing(algebra.kind, r)
+    flat = m.reshape(m.shape[:-2] + (r * r,))[..., inv]
     if algebra.kind is AlgebraKind.SYM_REAL:
-        diag = m[..., d, d]
-        off = m[..., iu, ju] * _SQRT2
-        return np.concatenate([diag, off], axis=-1)
-    if algebra.kind is AlgebraKind.HERM_COMPLEX:
-        diag = m[..., d, d].real
-        upper = m[..., iu, ju] * _SQRT2
-        return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-    raise ValueError("no matrix view for the Lorentz family")
+        return flat * mul
+    upper = flat[..., r:] * _SQRT2
+    return np.concatenate([flat[..., :r].real, upper.real, upper.imag], axis=-1)
 
 
 def element_from_matrix(algebra: Algebra, mat: np.ndarray, tol: float = 1e-10) -> Element:
@@ -275,7 +281,12 @@ def element_from_matrix(algebra: Algebra, mat: np.ndarray, tol: float = 1e-10) -
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     """(m + m*) / 2 over the last two axes: the one symmetrisation of every
     matrix the package builds from products or spectra."""
-    return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
+    return (mats + _conj(np.swapaxes(mats, -1, -2))) / 2.0
+
+
+def _conj(a: np.ndarray) -> np.ndarray:
+    """The complex conjugate of ``a``; a real array is its own, with no copy."""
+    return a.conj() if np.iscomplexobj(a) else a
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +335,7 @@ class _Spectrum:
             return out
         if self._v is None:
             raise ValueError("spectrum was computed without eigenvectors")
-        mats = np.einsum("nij,nj,nkj->nik", self._v, fn(self.eigs), self._v.conj())
+        mats = np.einsum("nij,nj,nkj->nik", self._v, fn(self.eigs), _conj(self._v))
         return mats_to_coords(alg, _hermitian_part(mats))
 
     def rows(self, start: int, stop: int) -> _Spectrum:
@@ -425,7 +436,7 @@ def _ldl_pivots(algebra: Algebra, coords: np.ndarray) -> np.ndarray:
             d[:, k] = a[:, k, k].real
             col = a[:, k + 1:, k]
             # Schur complement: A22 - a21 a21^H / d_k
-            a[:, k + 1:, k + 1:] -= col[:, :, None] * (col.conj() / d[:, k, None])[:, None, :]
+            a[:, k + 1:, k + 1:] -= col[:, :, None] * (_conj(col) / d[:, k, None])[:, None, :]
     d[:, -1] = a[:, -1, -1].real
     return d
 

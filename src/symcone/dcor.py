@@ -11,9 +11,9 @@ leaves mean(B*B) invariant, so permutation comparisons can run on the sum
 of A_ij B_pi(i)pi(j); A and B are bit-symmetric, so that sum needs only the
 block upper triangle of A, packed once per test.
 
-Each sample's distances are built and centred in place, in one m x m
-buffer.  A is packed as soon as it is centred and dropped before B is
-built, and the statistic's three sums are taken from the packed tiles and
+Both samples' distances are built and centred in place, in one m x m
+buffer.  A is packed as soon as it is centred, B is then built in the same
+buffer, and the statistic's three sums are taken from the packed tiles and
 B, so the test holds B and half of A, never both matrices.
 
 Each sample is first multiplied by the power of two that brings its largest
@@ -32,13 +32,14 @@ import numpy as np
 BLOCK_ROWS = 32
 
 
-def pairwise_distances(x: np.ndarray) -> np.ndarray:
+def pairwise_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Distances between the rows of ``x``, built in the (n, n) ``out`` if given."""
     # on a C-contiguous x, numpy forms x @ x.T with syrk and mirrors one
     # triangle, so the result is bit-symmetric (a reversed view would not be)
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    d = x @ x.T
+    d = np.matmul(x, x.T, out=out)
     sq = np.diagonal(d).copy()
     # (sq_i + sq_j) - 2 gram_ij, in the Gram buffer one block of rows at a time
     for i in range(0, len(d), BLOCK_ROWS):
@@ -76,13 +77,14 @@ def _normalised(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _prepared(x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """The packed tiles of A, B, and the dcor statistic.  A lives only until
-    it is packed, so it is gone before B is built."""
+    """The packed tiles of A, B, and the dcor statistic.  B is built in the
+    buffer A was packed from, so the two never coexist."""
     x, y = _normalised(x, "first"), _normalised(y, "second")
     if len(x) != len(y):
         raise ValueError(f"samples must be paired, got {len(x)} and {len(y)} rows")
-    tiles = _pack(double_center(pairwise_distances(x)))
-    b = double_center(pairwise_distances(y))
+    buf = np.empty((len(x), len(x)))
+    tiles = _pack(double_center(pairwise_distances(x, buf)))
+    b = double_center(pairwise_distances(y, buf))
     return tiles, b, _statistic(tiles, b)
 
 

@@ -21,12 +21,13 @@ OFF_DIAG_TOL = 1e-15
 
 
 @lru_cache(maxsize=None)
-def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
+def _offdiag_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def _max_offdiag(b: np.ndarray) -> np.ndarray:
-    return np.abs(b[:, _offdiag_mask(b.shape[-1])]).max(axis=1, initial=0.0)
+    rows, cols = _offdiag_index(b.shape[-1])
+    return np.abs(b[:, rows, cols]).max(axis=1, initial=0.0)
 
 
 def _rotate(b: np.ndarray, p: int, q: int, threshold: np.ndarray) -> None:

@@ -139,6 +139,12 @@ def _run_experiment(
 ) -> IndependenceReport:
     if n < MIN_EXPERIMENT_SAMPLES:
         raise ValueError(f"experiments need n >= {MIN_EXPERIMENT_SAMPLES} samples")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+    if max_stat_samples < 2:
+        raise ValueError(f"max_stat_samples must be at least 2, got {max_stat_samples!r}")
     alg = params1.algebra
     x, y, resampled = _draw_pairs_with_margin(params1, params2, n, seed, margin, workers)
     v, u, u_comp = split_batch(alg, x, y)

@@ -32,6 +32,7 @@ from symcone.algebra import (
     inverse,
     jordan_product,
     l_map,
+    mats_to_coords,
     p_map,
     quadratic_action_batch,
     sqrt_in_cone,
@@ -487,6 +488,89 @@ def test_matrix_view_round_trip(algebra, rng):
     x = random_element(algebra, rng)
     back = element_from_matrix(algebra, x.to_matrix())
     np.testing.assert_array_equal(back.coords, x.coords)
+
+
+def _scatter_coords_to_mats(algebra, coords):
+    """The zeros-and-scatter packing the cached gather maps replaced."""
+    c = np.asarray(coords, dtype=float)
+    r = algebra.param
+    d, (iu, ju) = np.arange(r), np.triu_indices(r, 1)
+    n_off = iu.size
+    if algebra.kind is AlgebraKind.SYM_REAL:
+        m = np.zeros(c.shape[:-1] + (r, r))
+        m[..., d, d] = c[..., :r]
+        off = c[..., r:] / math.sqrt(2.0)
+        m[..., iu, ju] = off
+        m[..., ju, iu] = off
+        return m
+    m = np.zeros(c.shape[:-1] + (r, r), dtype=complex)
+    m[..., d, d] = c[..., :r]
+    upper = (c[..., r:r + n_off] + 1j * c[..., r + n_off:]) / math.sqrt(2.0)
+    m[..., iu, ju] = upper
+    m[..., ju, iu] = upper.conj()
+    return m
+
+
+def _scatter_mats_to_coords(algebra, mats):
+    """The two-gather unpacking the cached gather maps replaced."""
+    m = np.asarray(mats)
+    r = algebra.param
+    d, (iu, ju) = np.arange(r), np.triu_indices(r, 1)
+    if algebra.kind is AlgebraKind.SYM_REAL:
+        return np.concatenate([m[..., d, d], m[..., iu, ju] * math.sqrt(2.0)], axis=-1)
+    upper = m[..., iu, ju] * math.sqrt(2.0)
+    return np.concatenate([m[..., d, d].real, upper.real, upper.imag], axis=-1)
+
+
+def _with_special_values(rng, shape):
+    """Normal draws, half of them replaced by signed zeros, subnormals or +-1e300."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    return x
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=str)
+@pytest.mark.parametrize(
+    "spec", [f"symr:{r}" for r in range(1, 6)] + [f"hermc:{r}" for r in range(1, 5)]
+)
+def test_packing_matches_the_scatter_reference_bit_for_bit(spec, lead, rng):
+    algebra = Algebra.from_spec(spec)
+    r = algebra.param
+    for _ in range(5):
+        coords = _with_special_values(rng, lead + (algebra.dim,))
+        mats = coords_to_mats(algebra, coords)
+        assert _same_bits(mats, _scatter_coords_to_mats(algebra, coords))
+        assert _same_bits(mats_to_coords(algebra, mats), _scatter_mats_to_coords(algebra, mats))
+        # any square input, not only a Hermitian one, is read the same way
+        raw = _with_special_values(rng, lead + (r, r))
+        if algebra.kind is AlgebraKind.HERM_COMPLEX:
+            raw = raw.astype(complex)
+            raw.imag = _with_special_values(rng, lead + (r, r))
+        assert _same_bits(mats_to_coords(algebra, raw), _scatter_mats_to_coords(algebra, raw))
+    # the round trip scales the off-diagonal by 1/sqrt(2) and back
+    coords = rng.standard_normal(lead + (algebra.dim,))
+    back = mats_to_coords(algebra, coords_to_mats(algebra, coords))
+    np.testing.assert_allclose(back, coords, rtol=4e-16, atol=0.0)
+    assert np.array_equal(back[..., :r], coords[..., :r])
+
+
+@pytest.mark.parametrize("spec,size", [("symr:3", 7), ("symr:3", 4), ("hermc:2", 5), ("hermc:2", 3)])
+def test_packing_rejects_coordinates_of_another_dimension(spec, size):
+    with pytest.raises(DimensionMismatch, match=f"{size}"):
+        coords_to_mats(Algebra.from_spec(spec), np.ones((2, size)))
+
+
+def test_packing_has_no_lorentz_view():
+    with pytest.raises(ValueError, match="Lorentz"):
+        coords_to_mats(LOR2, np.zeros(3))
+    with pytest.raises(ValueError, match="Lorentz"):
+        mats_to_coords(LOR2, np.zeros((2, 2)))
 
 
 def test_element_from_matrix_rejects_non_hermitian():

@@ -146,7 +146,7 @@ def test_packed_sum_matches_the_plain_sum(n, rng):
 
 @pytest.mark.parametrize("which", ["permutation_test", "distance_correlation"])
 def test_dcor_holds_at_most_two_square_arrays(which):
-    # A is packed and dropped before B is built, and no m x m temporary is formed
+    # A is packed before B is built in its buffer, and no m x m temporary is formed
     m = 1000
     data = np.random.default_rng(11)
     x = data.standard_normal((m, 3))
@@ -199,6 +199,32 @@ def test_p_values_match_the_full_gather_reference(n):
             x, y, 29, make_generator(seed, PURPOSE_PERMUTE)
         )
         assert p == p_ref, (n, seed)
+
+
+@pytest.mark.parametrize("shape", [(33, 1), (257, 9), (1000, 6), (1000, 9), (1500, 6)])
+def test_distances_built_in_a_given_buffer_keep_their_bits(shape, rng):
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 100.0, shape[1])
+    for sample in (x, x[::-1]):
+        buf = np.full((shape[0], shape[0]), np.nan)
+        d = dcor.pairwise_distances(sample, buf)
+        assert d is buf
+        assert d.tobytes() == dcor.pairwise_distances(sample).tobytes()
+        assert d.tobytes() == d.T.copy().tobytes()
+
+
+def test_both_samples_are_built_in_one_buffer(monkeypatch, rng):
+    buffers = []
+    plain = dcor.pairwise_distances
+
+    def spy(x, out=None):
+        buffers.append(out)
+        return plain(x, out)
+
+    monkeypatch.setattr(dcor, "pairwise_distances", spy)
+    x = rng.standard_normal((70, 3))
+    b = dcor._prepared(x, x[:, :2] ** 2 + rng.standard_normal((70, 2)))[1]
+    assert len(buffers) == 2 and buffers[0] is not None and buffers[1] is buffers[0]
+    assert b is buffers[0]
 
 
 class _IdentityPermutations:

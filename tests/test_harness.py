@@ -148,6 +148,28 @@ def test_forward_experiment_requires_enough_samples():
         forward_experiment(3.0, 3.0, cone_unit(SYM2), n=100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs,quoted",
+    [
+        (dict(level=2.0), "2.0"),
+        (dict(level=0.0), "0.0"),
+        (dict(level=float("nan")), "nan"),
+        (dict(margin=float("nan")), "nan"),
+        (dict(margin=float("inf")), "inf"),
+        (dict(margin=-1e-9), "-1e-09"),
+        (dict(max_stat_samples=1), "1"),
+    ],
+)
+def test_experiments_reject_out_of_range_inputs(kwargs, quoted):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=rf"{name} .*got {quoted}$"):
+        forward_experiment(3.0, 3.0, cone_unit(SYM2), n=1000, seed=0, permutations=9, **kwargs)
+    with pytest.raises(ValueError, match=rf"{name} .*got {quoted}$"):
+        negative_experiment(
+            3.0, 3.0, cone_unit(SYM2), cone_unit(SYM2, 3.0), n=1000, seed=0, **kwargs
+        )
+
+
 def test_negative_experiment_rejects_scale_mismatch():
     report = negative_experiment(
         3.0, 3.0, cone_unit(SYM2), cone_unit(SYM2, 3.0),
